@@ -7,20 +7,29 @@ difference of the surrounding occupancies: the group at ``k`` jumps to
 Groups landing in the same cell merge by summing. Displacements of any
 magnitude are legal and wrap around the torus.
 
-``step`` is the vectorized kernel used everywhere; ``step_oracle`` is a
-deliberately naive reference that tests every (target, source) pair
-against the defining condition, kept around purely for equivalence
-testing.
+``tick_kernel`` builds the one production kernel: a function on raw
+flat int64 arrays, built once per ``step``, ``evolve`` or ``trajectory``
+call from precomputed neighbour-index tables, so that a tick costs a
+handful of numpy calls over the occupied cells and no ``LatticeState``
+rebuild. ``step`` applies it once and wraps the result at the API
+boundary. ``step_oracle`` is a deliberately naive reference that tests
+every (target, source) pair against the defining condition, kept around
+purely for equivalence testing.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-from .lattice import LatticeState, wrap
+from .lattice import LatticeState, TorusShape, wrap
 
 # One signed displacement per axis, in cells per step.
 Displacement = tuple[int, ...]
+
+# One tick on flat row-major int64 occupancies: T(n) -> T(n+1).
+Tick = Callable[[np.ndarray], np.ndarray]
 
 
 def gradient(state: LatticeState, k) -> Displacement:
@@ -41,34 +50,60 @@ def gradient(state: LatticeState, k) -> Displacement:
     return tuple(comps)
 
 
-def _central_differences(values: np.ndarray) -> list[np.ndarray]:
-    """Per-axis central difference arrays; the displacement field."""
-    return [
-        np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)
-        for axis in range(values.ndim)
-    ]
+def tick_kernel(shape: TorusShape) -> Tick:
+    """The production tick for ``shape``, on flat row-major int64 arrays.
 
-
-def _scatter_merge(state: LatticeState, grads: list[np.ndarray]) -> LatticeState:
-    """Move every occupied cell by minus its displacement and merge collisions.
-
-    Generic over the displacement field; only the central difference ships.
+    The returned function maps the occupancies T(n) to a new array holding
+    T(n+1) and never writes to its argument. Neighbour, coordinate and
+    wrap tables are built here, once per caller, so that a tick touches
+    only the occupied cells: it gathers their two neighbours per axis,
+    reduces each displacement modulo the axis length before forming the
+    target (so occupancies near 2**63 never wrap), and merges colliding
+    groups with one exact int64 ``np.add.at``. It does not check mass;
+    callers wrap its output with ``conserved_state``.
     """
-    v = state.values
-    dims = state.shape.dims
-    nonzero = v != 0
-    sources = np.nonzero(nonzero)
-    # reduce the displacement modulo the axis first: the raw difference
-    # src - g could overflow int64 for occupancies near 2**63
-    targets = tuple(
-        (src - g[nonzero] % d) % d for src, g, d in zip(sources, grads, dims)
-    )
-    out = np.zeros(dims, dtype=np.int64)
-    np.add.at(out.reshape(-1), np.ravel_multi_index(targets, dims), v[nonzero])
-    result = LatticeState(state.shape, out)
-    if result.total_mass() != state.total_mass():
+    dims = shape.dims
+    n = shape.total_cells
+    cells = np.arange(n).reshape(dims)
+    coords = np.indices(dims)
+    axes = []
+    stride = n
+    for axis, d in enumerate(dims):
+        stride //= d
+        axes.append(
+            (
+                d,
+                np.roll(cells, -1, axis=axis).ravel(),  # successor along the axis
+                np.roll(cells, 1, axis=axis).ravel(),  # predecessor
+                coords[axis].ravel() + d,  # coordinate + d: c - (g % d) lies in [1, 2d)
+                (np.arange(2 * d) % d) * stride,  # that index -> flat offset of the target
+            )
+        )
+
+    def tick(values: np.ndarray) -> np.ndarray:
+        sources = (values != 0).nonzero()[0]
+        targets = 0
+        for d, succ, pred, coord, wrap_offset in axes:
+            push = (values[succ[sources]] - values[pred[sources]]) % d
+            targets = targets + wrap_offset[coord[sources] - push]
+        out = np.zeros(n, dtype=np.int64)
+        np.add.at(out, targets, values[sources])
+        return out
+
+    return tick
+
+
+def conserved_state(reference: LatticeState, values: np.ndarray) -> LatticeState:
+    """Wrap kernel output as a state on ``reference``'s torus, checking its mass.
+
+    The initial-mass bound in ``LatticeState`` rules out accumulation
+    overflow, so this check runs once per call at the API boundary, not
+    once per tick.
+    """
+    state = LatticeState(reference.shape, values)
+    if state.total_mass() != reference.total_mass():
         raise OverflowError("accumulation overflow: mass not conserved by step")
-    return result
+    return state
 
 
 def step(state: LatticeState) -> LatticeState:
@@ -77,7 +112,7 @@ def step(state: LatticeState) -> LatticeState:
     Only occupied cells are visited: each scatters its value onto
     ``wrap(k - gradient(k))`` and deposits on a common target accumulate.
     """
-    return _scatter_merge(state, _central_differences(state.values))
+    return conserved_state(state, tick_kernel(state.shape)(state.values.reshape(-1)))
 
 
 def step_oracle(state: LatticeState) -> LatticeState:

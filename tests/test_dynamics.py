@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupform import LatticeState, TorusShape, gradient, step, step_oracle
+from groupform.dynamics import conserved_state
 
 from conftest import lattice_states, offsets_for
 
@@ -79,6 +80,11 @@ class TestStepExamples:
         expected = LatticeState(z5, [0, x, 0, 0, 1])
         assert step_oracle(state) == expected
         assert step(state) == expected
+
+    def test_mass_change_is_an_overflow(self):
+        state = LatticeState(TorusShape((5,)), [1, 1, 0, 0, 0])
+        with pytest.raises(OverflowError):
+            conserved_state(state, np.array([0, 0, 1, 0, 0]))
 
 
 class TestStepProperties:

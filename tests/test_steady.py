@@ -5,9 +5,11 @@ from groupform import (
     LatticeState,
     OutcomeKind,
     TorusShape,
+    TrajectoryOutcome,
     default_max_steps,
     evolve,
     step,
+    step_oracle,
     trajectory,
 )
 
@@ -63,6 +65,22 @@ class TestEvolveExamples:
         assert outcome.kind is OutcomeKind.UNRESOLVED
         assert outcome.steps_taken == 1
         assert outcome.steady_state == LatticeState(TorusShape((5,)), [0, 1, 0, 1, 1])
+
+    @pytest.mark.parametrize("max_steps", [5, 6])
+    def test_cycle_closing_at_the_cap_is_periodic(self, max_steps):
+        # mu = 0, lambda = 5: the cycle closes exactly at tick 5
+        z5 = TorusShape((5,))
+        outcome = evolve(LatticeState(z5, [0, 0, 1, 2, 2]), max_steps=max_steps)
+        assert outcome.kind is OutcomeKind.PERIODIC
+        assert (outcome.entry_time, outcome.period, outcome.steps_taken) == (0, 5, 5)
+        assert outcome.steady_state == LatticeState(z5, [0, 0, 1, 2, 2])
+
+    def test_cycle_closing_past_the_cap_is_unresolved(self):
+        z5 = TorusShape((5,))
+        outcome = evolve(LatticeState(z5, [0, 0, 1, 2, 2]), max_steps=4)
+        assert outcome.kind is OutcomeKind.UNRESOLVED
+        assert outcome.steps_taken == 4
+        assert outcome.steady_state == LatticeState(z5, [2, 2, 0, 0, 1])
 
     def test_max_steps_validation(self):
         with pytest.raises(ValueError):
@@ -140,3 +158,33 @@ class TestOutcomeInvariants:
             second.period,
             second.steps_taken,
         )
+
+
+def reference_evolve(initial, max_steps):
+    """Exact reference: remember every visited state, step with the oracle."""
+    seen = {initial.values.tobytes(): 0}
+    cur = initial
+    for now in range(max_steps):
+        nxt = step_oracle(cur)
+        if nxt == cur:
+            return TrajectoryOutcome(OutcomeKind.FIXED, cur, now + 1, n_st=now)
+        first = seen.setdefault(nxt.values.tobytes(), now + 1)
+        if first <= now:
+            return TrajectoryOutcome(
+                OutcomeKind.PERIODIC, nxt, now + 1, entry_time=first, period=now + 1 - first
+            )
+        cur = nxt
+    return TrajectoryOutcome(OutcomeKind.UNRESOLVED, cur, max_steps)
+
+
+class TestReferenceEvolve:
+    @settings(max_examples=300)
+    @given(
+        lattice_states(max_value=3, max_side_2d=6),
+        st.one_of(st.just(1), st.integers(2, 2**55)),
+        st.integers(1, 40),
+    )
+    def test_matches_reference(self, state, scale, max_steps):
+        # scaled states push groups by large multiples of the torus size
+        scaled = LatticeState(state.shape, state.values * scale)
+        assert evolve(scaled, max_steps) == reference_evolve(scaled, max_steps)
