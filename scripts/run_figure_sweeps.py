@@ -21,8 +21,7 @@ import sys
 import time
 
 from groupform import SweepConfig, TorusShape, run_sweep, sample_grid_point
-from groupform.cli import write_sweep_csv, _fmt, _mc_densities
-from groupform.primitive import analytic_densities
+from groupform.cli import fmt, write_primitive_csv, write_sweep_csv
 
 MASTER_SEED = 20260810
 
@@ -66,7 +65,7 @@ def relaxation_curves(out_path, sizes, samples, threads):
                     TorusShape((m,)), p, samples, MASTER_SEED, workers=threads
                 )
                 writer.writerow(
-                    [_fmt(p), m, _fmt(stats.mean_n_st()), stats.fixed_count, stats.samples]
+                    [fmt(p), m, fmt(stats.mean_n_st()), stats.fixed_count, stats.samples]
                 )
                 log(f"  relaxation p={p} M={m}: mean n_st={stats.mean_n_st():.1f}")
     log(f"wrote {out_path}")
@@ -74,21 +73,7 @@ def relaxation_curves(out_path, sizes, samples, threads):
 
 def onestep_table(out_path, seeds):
     with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["p", "q1_analytic", "q2_analytic", "q3_analytic", "q1_mc", "q2_mc", "q3_mc",
-             "q1_stderr", "q2_stderr", "q3_stderr"]
-        )
-        for i in range(101):
-            p = i / 100
-            analytic = analytic_densities(p)
-            means, errors = _mc_densities(10_000, p, i, seeds, MASTER_SEED)
-            writer.writerow(
-                [_fmt(p)]
-                + [_fmt(q) for q in analytic.as_tuple()]
-                + [_fmt(q) for q in means]
-                + [_fmt(e) for e in errors]
-            )
+        write_primitive_csv(fh, 10_000, 1.0, 100, seeds, MASTER_SEED)
     log(f"wrote {out_path}")
 
 
@@ -103,7 +88,7 @@ def dense_2d_histograms(out_path, samples, threads):
                 grid_index=grid_index, workers=threads,
             )
             for r in sorted(stats.count_sums):
-                writer.writerow([_fmt(p), r, _fmt(stats.mean_q(r))])
+                writer.writerow([fmt(p), r, fmt(stats.mean_q(r))])
             log(f"  dense 2D p={p}: sizes up to {max(stats.count_sums, default=0)}")
     log(f"wrote {out_path}")
 

@@ -21,13 +21,8 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .lattice import LatticeState, TorusShape, load_state
-from .montecarlo import (
-    SweepConfig,
-    bernoulli_state,
-    mix_seed,
-    run_sweep,
-)
-from .primitive import analytic_densities, simulate_primitive
+from .montecarlo import SweepConfig, bernoulli_state, run_sweep
+from .primitive import analytic_densities, replica_densities
 from .steady import OutcomeKind, default_max_steps, evolve, trajectory
 from .verify import full_checks, quick_checks
 
@@ -36,7 +31,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _fmt(x) -> str:
+def fmt(x) -> str:
     """Shortest round-trip decimal for floats; plain str otherwise."""
     if isinstance(x, float):
         return repr(x)
@@ -173,14 +168,14 @@ def write_sweep_csv(result, path: str) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_COLUMNS)
         for stats in result.points:
-            p = _fmt(stats.p)
+            p = fmt(stats.p)
             writer.writerow(
                 [
                     p,
                     0,
                     "",
                     "",
-                    _fmt(stats.mean_n_st()),
+                    fmt(stats.mean_n_st()),
                     stats.fixed_count,
                     stats.periodic_count,
                     stats.unresolved_count,
@@ -188,9 +183,9 @@ def write_sweep_csv(result, path: str) -> None:
                 ]
             )
             for r in (1, 2, 3, 4):
-                writer.writerow([p, r, _fmt(stats.mean_q(r)), _fmt(stats.stderr_q(r)), "", "", "", "", ""])
+                writer.writerow([p, r, fmt(stats.mean_q(r)), fmt(stats.stderr_q(r)), "", "", "", "", ""])
             writer.writerow(
-                [p, "tail", _fmt(stats.mean_tail_q()), _fmt(stats.stderr_tail_q()), "", "", "", "", ""]
+                [p, "tail", fmt(stats.mean_tail_q()), fmt(stats.stderr_tail_q()), "", "", "", "", ""]
             )
 
 
@@ -246,25 +241,14 @@ PRIMITIVE_COLUMNS = (
 )
 
 
-def _mc_densities(m: int, p: float, grid_index: int, n_seeds: int, master_seed: int):
-    """Mean and standard error of the empirical densities over seed replicas."""
-    per_seed = [[], [], []]
-    for j in range(n_seeds):
-        hist = simulate_primitive(m, p, mix_seed(master_seed, grid_index, j))
-        for r in (1, 2, 3):
-            per_seed[r - 1].append(hist.density(r))
-    means, errors = [], []
-    for series in per_seed:
-        n = len(series)
-        mean = sum(series) / n
-        if n < 2:
-            stderr = 0.0
-        else:
-            var = sum((x - mean) ** 2 for x in series) / (n - 1)
-            stderr = (var / n) ** 0.5
-        means.append(mean)
-        errors.append(stderr)
-    return means, errors
+def write_primitive_csv(out, m: int, p_max: float, p_steps: int, seeds: int, master_seed: int) -> None:
+    """Closed-form and Monte Carlo Q_1..Q_3 at p_i = i * p_max / p_steps."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(PRIMITIVE_COLUMNS)
+    for i in range(p_steps + 1):
+        p = i * p_max / p_steps
+        means, errors = replica_densities(m, p, i, seeds, master_seed)
+        writer.writerow([fmt(x) for x in (p, *analytic_densities(p).as_tuple(), *means, *errors)])
 
 
 def cmd_primitive(args) -> int:
@@ -278,18 +262,7 @@ def cmd_primitive(args) -> int:
     start = time.perf_counter()
     out, is_file = _open_out(args.out)
     try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(PRIMITIVE_COLUMNS)
-        for i in range(args.p_steps + 1):
-            p = i * args.p_max / args.p_steps
-            analytic = analytic_densities(p)
-            means, errors = _mc_densities(args.m, p, i, args.seeds, args.seed)
-            writer.writerow(
-                [_fmt(p)]
-                + [_fmt(q) for q in analytic.as_tuple()]
-                + [_fmt(q) for q in means]
-                + [_fmt(e) for e in errors]
-            )
+        write_primitive_csv(out, args.m, args.p_max, args.p_steps, args.seeds, args.seed)
     finally:
         if is_file:
             out.close()

@@ -125,12 +125,10 @@ class GridPointStats:
             self.fixed_count += 1
             self.n_st_sum += result.outcome.n_st
             self.fixed_initial_mass_sum += result.initial_mass
-            tail = 0
             for r, c in result.histogram.counts.items():
                 self.count_sums[r] = self.count_sums.get(r, 0) + c
                 self.count_sq_sums[r] = self.count_sq_sums.get(r, 0) + c * c
-                if r >= TAIL_MIN_SIZE:
-                    tail += c
+            tail = result.histogram.tail_count()
             self.tail_sum += tail
             self.tail_sq_sum += tail * tail
         elif kind is OutcomeKind.PERIODIC:
@@ -284,6 +282,17 @@ def _blocks(n_samples: int, workers: int) -> list[tuple[int, int]]:
     return [(j, min(j + block, n_samples)) for j in range(0, n_samples, block)]
 
 
+def map_blocks(fn: Callable, args: list, workers: int, pool=None) -> list:
+    """``[fn(a) for a in args]``, run on ``pool`` if given, else on a pool of
+    ``workers`` processes that lives for this call, else in this process."""
+    if pool is not None:
+        return pool.map(fn, args)
+    if workers <= 1:
+        return [fn(a) for a in args]
+    with Pool(processes=workers) as owned:
+        return owned.map(fn, args)
+
+
 def sample_grid_point(
     shape: TorusShape,
     p: float,
@@ -308,12 +317,7 @@ def sample_grid_point(
         for j0, j1 in _blocks(samples, workers)
     ]
     stats = GridPointStats(p=p, grid_index=grid_index, total_cells=shape.total_cells)
-    if pool is not None:
-        partials = pool.map(_sample_block, args)
-    else:
-        with Pool(processes=workers) as owned:
-            partials = owned.map(_sample_block, args)
-    for part in partials:
+    for part in map_blocks(_sample_block, args, workers, pool):
         stats.merge(part)
     return stats
 

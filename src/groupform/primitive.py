@@ -24,7 +24,7 @@ from math import comb, isclose
 import numpy as np
 
 from .lattice import LatticeState, TorusShape
-from .montecarlo import GroupHistogram, measure
+from .montecarlo import GroupHistogram, measure, mix_seed
 
 
 @dataclass(frozen=True)
@@ -108,3 +108,27 @@ def simulate_primitive(m: int, p: float, seed: int) -> GroupHistogram:
     targets = (np.arange(0, m, 2) + hops) % m
     np.add.at(final, targets, occupancy[0::2])
     return measure(LatticeState(TorusShape((m,)), final))
+
+
+def replica_densities(
+    m: int, p: float, grid_index: int, n_seeds: int, master_seed: int
+) -> tuple[list[float], list[float]]:
+    """Means and standard errors of Q_1, Q_2, Q_3 over ``n_seeds`` replicas
+    of the one-step model; replica j is seeded by
+    ``mix_seed(master_seed, grid_index, j)``."""
+    per_seed = [[], [], []]
+    for j in range(n_seeds):
+        hist = simulate_primitive(m, p, mix_seed(master_seed, grid_index, j))
+        for r in (1, 2, 3):
+            per_seed[r - 1].append(hist.density(r))
+    means, stderrs = [], []
+    for series in per_seed:
+        mean = sum(series) / n_seeds
+        if n_seeds < 2:
+            stderr = 0.0
+        else:
+            var = sum((x - mean) ** 2 for x in series) / (n_seeds - 1)
+            stderr = (var / n_seeds) ** 0.5
+        means.append(mean)
+        stderrs.append(stderr)
+    return means, stderrs

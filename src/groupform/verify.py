@@ -8,23 +8,28 @@ published steady-state measurements (relaxation times, two-element
 dominance, size insensitivity, periodic-state rarity, 1D-vs-2D density
 spread), which take minutes.
 
-Every check is deterministic: random inputs come from fixed seeds, and
-sweep aggregation is bit-exact at any worker count.
+Every check is deterministic for a given worker count: random inputs
+come from fixed seeds, and sweep aggregation is bit-exact at any worker
+count. The property checks (oracle equivalence, conservation, symmetry)
+are not worker-independent, though: they split their states into
+``4 * workers`` blocks, each seeded by its block index, so two worker
+counts share only the leading states of each block index. A faulty
+``step`` can then fail at one worker count and pass at another, or
+report a different first failure.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from multiprocessing import Pool
 from typing import Callable
 
 import numpy as np
 
 from .dynamics import step, step_oracle
 from .lattice import LatticeState, TorusShape
-from .montecarlo import mix_seed, sample_grid_point
-from .primitive import analytic_densities, simulate_primitive
+from .montecarlo import _blocks, map_blocks, mix_seed, sample_grid_point
+from .primitive import analytic_densities, replica_densities
 from .steady import OutcomeKind, evolve
 
 # Arbitrary fixed seeds; changing any of them changes which random states
@@ -136,127 +141,92 @@ def check_worked_examples() -> CheckResult:
     return _timed("worked-examples", run)
 
 
-def _oracle_block(args) -> tuple[int, int, str]:
-    ndim, count, seed = args
+def _oracle_failure(state: LatticeState, rng: np.random.Generator) -> str:
+    if step(state) != step_oracle(state):
+        return f"first mismatch on {state.values.tolist()} (dims {state.shape.dims})"
+    return ""
+
+
+def _mass_failure(state: LatticeState, rng: np.random.Generator) -> str:
+    if step(state).total_mass() != state.total_mass():
+        return f"mass changed for {state.values.tolist()}"
+    return ""
+
+
+def _translation_failure(state: LatticeState, rng: np.random.Generator) -> str:
+    offset = [int(rng.integers(-20, 21)) for _ in state.shape.dims]
+    if step(state.shift(offset)) != step(state).shift(offset):
+        return f"shift by {offset} not equivariant for {state.values.tolist()}"
+    return ""
+
+
+def _reflection_failure(state: LatticeState, rng: np.random.Generator) -> str:
+    if step(state.reflect()) != step(state).reflect():
+        return f"reflection not equivariant for {state.values.tolist()}"
+    return ""
+
+
+def _first_failure(args) -> str:
+    failure, ndim, count, seed = args
     rng = np.random.default_rng(seed)
-    mismatches = 0
-    detail = ""
     for _ in range(count):
-        state = _random_state(rng, ndim)
-        fast = step(state)
-        naive = step_oracle(state)
-        if fast != naive:
-            mismatches += 1
-            if not detail:
-                detail = f"first mismatch on {state.values.tolist()} (dims {state.shape.dims})"
-    return count, mismatches, detail
+        detail = failure(_random_state(rng, ndim), rng)
+        if detail:
+            return detail
+    return ""
 
 
-def _run_blocks(worker, ndim: int, n_states: int, seed: int, workers: int) -> tuple[int, int, str]:
-    blocks = max(1, min(workers * 4, n_states))
-    per = -(-n_states // blocks)
-    args = []
-    remaining = n_states
-    for b in range(blocks):
-        take = min(per, remaining)
-        if take <= 0:
-            break
-        args.append((ndim, take, mix_seed(seed, ndim, b)))
-        remaining -= take
-    if workers > 1:
-        with Pool(processes=workers) as pool:
-            results = pool.map(worker, args)
-    else:
-        results = [worker(a) for a in args]
-    total = sum(r[0] for r in results)
-    bad = sum(r[1] for r in results)
-    detail = next((r[2] for r in results if r[2]), "")
-    return total, bad, detail
+def _property_check(
+    name: str,
+    failure: Callable[[LatticeState, np.random.Generator], str],
+    ndims: tuple[int, ...],
+    seed: int,
+    n_states: int,
+    workers: int,
+    holds: str = "holds on {} random states (1D and 2D)",
+) -> CheckResult:
+    """Run ``failure`` on ``n_states`` random states of each dimension in
+    ``ndims``; report the first failure, or ``holds`` with the state count."""
 
-
-def check_oracle_equivalence_1d(n_states: int = 10_000, workers: int = 1) -> CheckResult:
     def run():
-        total, bad, detail = _run_blocks(_oracle_block, 1, n_states, _SEED_ORACLE_1D, workers)
-        return bad == 0, detail or f"step == naive reference on {total} random 1D states"
-
-    return _timed("oracle-equivalence-1d", run)
-
-
-def check_oracle_equivalence_2d(n_states: int = 10_000, workers: int = 1) -> CheckResult:
-    def run():
-        total, bad, detail = _run_blocks(_oracle_block, 2, n_states, _SEED_ORACLE_2D, workers)
-        return bad == 0, detail or f"step == naive reference on {total} random 2D states"
-
-    return _timed("oracle-equivalence-2d", run)
-
-
-def _mass_block(args) -> tuple[int, int, str]:
-    ndim, count, seed = args
-    rng = np.random.default_rng(seed)
-    bad = 0
-    detail = ""
-    for _ in range(count):
-        state = _random_state(rng, ndim)
-        if step(state).total_mass() != state.total_mass():
-            bad += 1
-            if not detail:
-                detail = f"mass changed for {state.values.tolist()}"
-    return count, bad, detail
-
-
-def _translation_block(args) -> tuple[int, int, str]:
-    ndim, count, seed = args
-    rng = np.random.default_rng(seed)
-    bad = 0
-    detail = ""
-    for _ in range(count):
-        state = _random_state(rng, ndim)
-        offset = [int(rng.integers(-20, 21)) for _ in state.shape.dims]
-        if step(state.shift(offset)) != step(state).shift(offset):
-            bad += 1
-            if not detail:
-                detail = f"shift by {offset} not equivariant for {state.values.tolist()}"
-    return count, bad, detail
-
-
-def _reflection_block(args) -> tuple[int, int, str]:
-    ndim, count, seed = args
-    rng = np.random.default_rng(seed)
-    bad = 0
-    detail = ""
-    for _ in range(count):
-        state = _random_state(rng, ndim)
-        if step(state.reflect()) != step(state).reflect():
-            bad += 1
-            if not detail:
-                detail = f"reflection not equivariant for {state.values.tolist()}"
-    return count, bad, detail
-
-
-def _property_check(name, worker, seed, n_states, workers) -> CheckResult:
-    def run():
-        results = [_run_blocks(worker, ndim, n_states, seed, workers) for ndim in (1, 2)]
-        bad = sum(r[1] for r in results)
-        detail = next((r[2] for r in results if r[2]), "")
-        total = sum(r[0] for r in results)
-        return bad == 0, detail or f"holds on {total} random states (1D and 2D)"
+        args = [
+            (failure, ndim, j1 - j0, mix_seed(seed, ndim, b))
+            for ndim in ndims
+            for b, (j0, j1) in enumerate(_blocks(n_states, workers))
+        ]
+        detail = next(filter(None, map_blocks(_first_failure, args, workers)), "")
+        return not detail, detail or holds.format(sum(count for _, _, count, _ in args))
 
     return _timed(name, run)
 
 
+def check_oracle_equivalence_1d(n_states: int = 10_000, workers: int = 1) -> CheckResult:
+    return _property_check(
+        "oracle-equivalence-1d", _oracle_failure, (1,), _SEED_ORACLE_1D, n_states, workers,
+        "step == naive reference on {} random 1D states",
+    )
+
+
+def check_oracle_equivalence_2d(n_states: int = 10_000, workers: int = 1) -> CheckResult:
+    return _property_check(
+        "oracle-equivalence-2d", _oracle_failure, (2,), _SEED_ORACLE_2D, n_states, workers,
+        "step == naive reference on {} random 2D states",
+    )
+
+
 def check_mass_conservation(n_states: int = 10_000, workers: int = 1) -> CheckResult:
-    return _property_check("mass-conservation", _mass_block, _SEED_MASS, n_states, workers)
+    return _property_check("mass-conservation", _mass_failure, (1, 2), _SEED_MASS, n_states, workers)
 
 
 def check_translation_equivariance(n_states: int = 10_000, workers: int = 1) -> CheckResult:
     return _property_check(
-        "translation-equivariance", _translation_block, _SEED_TRANSLATION, n_states, workers
+        "translation-equivariance", _translation_failure, (1, 2), _SEED_TRANSLATION, n_states, workers
     )
 
 
 def check_reflection_equivariance(n_states: int = 10_000, workers: int = 1) -> CheckResult:
     return _property_check(
-        "reflection-equivariance", _reflection_block, _SEED_REFLECTION, n_states, workers
+        "reflection-equivariance", _reflection_failure, (1, 2), _SEED_REFLECTION, n_states, workers
     )
 
 
@@ -281,14 +251,9 @@ def check_primitive_convergence(
         worst = 0.0
         worst_at = ""
         for grid_index, p in enumerate(p_values):
-            sums = {1: 0.0, 2: 0.0, 3: 0.0}
-            for j in range(n_seeds):
-                hist = simulate_primitive(m, p, mix_seed(_SEED_PRIMITIVE, grid_index, j))
-                for r in sums:
-                    sums[r] += hist.density(r)
-            expected = analytic_densities(p)
-            for r, total in sums.items():
-                delta = abs(total / n_seeds - expected.as_tuple()[r - 1])
+            means, _ = replica_densities(m, p, grid_index, n_seeds, _SEED_PRIMITIVE)
+            for r, (mean, expected) in enumerate(zip(means, analytic_densities(p).as_tuple()), 1):
+                delta = abs(mean - expected)
                 if delta > worst:
                     worst, worst_at = delta, f"r={r} p={p}"
         return worst <= tolerance, (

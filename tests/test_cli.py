@@ -1,5 +1,7 @@
 import csv
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +199,34 @@ class TestPrimitive:
         main(args + ["--out", str(tmp_path / "a.csv")])
         main(args + ["--out", str(tmp_path / "b.csv")])
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_pinned_stdout_bytes(self, capsys):
+        # recorded before the CSV writer was shared with the figure script
+        assert main(["primitive", "--m", "50", "--p-steps", "4", "--seeds", "3", "--seed", "9"]) == 0
+        assert capsys.readouterr().out == (
+            "p,q1_analytic,q2_analytic,q3_analytic,q1_mc,q2_mc,q3_mc,q1_stderr,q2_stderr,q3_stderr\n"
+            "0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0\n"
+            "0.25,0.177734375,0.033203125,0.001953125,0.16,0.03333333333333333,0.0,"
+            "0.011547005383792509,0.006666666666666667,0.0\n"
+            "0.5,0.234375,0.109375,0.015625,0.2333333333333333,0.08666666666666667,"
+            "0.013333333333333334,0.035276684147527874,0.013333333333333336,0.006666666666666667\n"
+            "0.75,0.205078125,0.193359375,0.052734375,0.21999999999999997,0.21333333333333335,"
+            "0.02666666666666667,0.011547005383792509,0.006666666666666664,0.017638342073763937\n"
+            "1.0,0.125,0.25,0.125,0.12666666666666668,0.24666666666666667,0.12666666666666668,"
+            "0.017638342073763937,0.035276684147527874,0.017638342073763937\n"
+        )
+
+
+class TestFigureScript:
+    def test_onestep_table_matches_primitive_command(self, tmp_path):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "run_figure_sweeps.py"
+        spec = importlib.util.spec_from_file_location("run_figure_sweeps", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        script.onestep_table(str(tmp_path / "onestep.csv"), seeds=2)
+        args = ["primitive", "--m", "10000", "--p-max", "1.0", "--p-steps", "100", "--seeds", "2"]
+        assert main(args + ["--seed", "20260810", "--out", str(tmp_path / "cli.csv")]) == 0
+        assert (tmp_path / "onestep.csv").read_bytes() == (tmp_path / "cli.csv").read_bytes()
 
 
 class TestVerify:
