@@ -26,8 +26,6 @@ from .montecarlo import (
 )
 from .primitive import (
     PrimitiveDensities,
-    ReceiveProbabilities,
-    RECEIVE_PROBABILITIES,
     analytic_densities,
     simulate_primitive,
 )
@@ -45,8 +43,6 @@ __all__ = [
     "LatticeState",
     "OutcomeKind",
     "PrimitiveDensities",
-    "ReceiveProbabilities",
-    "RECEIVE_PROBABILITIES",
     "SampleResult",
     "SweepConfig",
     "SweepResult",

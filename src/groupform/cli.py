@@ -17,11 +17,11 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from contextlib import nullcontext
 
 from . import __version__
-from .lattice import LatticeState, TorusShape, load_state
-from .montecarlo import SweepConfig, bernoulli_state, run_sweep
+from .lattice import TorusShape, load_state
+from .montecarlo import TAIL_MIN_SIZE, SweepConfig, bernoulli_state, run_sweep
 from .primitive import analytic_densities, replica_densities
 from .steady import OutcomeKind, default_max_steps, evolve, trajectory
 from .verify import full_checks, quick_checks
@@ -38,31 +38,28 @@ def fmt(x) -> str:
     return str(x)
 
 
-@dataclass
-class RunManifest:
-    """Everything needed to regenerate an output file bit-for-bit."""
-
-    command: str
-    parameters: dict
-    master_seed: int | None
-    outputs: list[str]
-    version: str = __version__
-    duration_seconds: float = 0.0
-    extras: dict = field(default_factory=dict)
-
-    def write(self, path: str) -> None:
-        record = {
-            "command": self.command,
-            "version": self.version,
-            "parameters": self.parameters,
-            "master_seed": self.master_seed,
-            "duration_seconds": self.duration_seconds,
-            "outputs": self.outputs,
-        }
-        record.update(self.extras)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=2)
-            fh.write("\n")
+def write_manifest(
+    path: str,
+    command: str,
+    parameters: dict,
+    master_seed: int | None,
+    outputs: list[str],
+    duration_seconds: float,
+    **extras,
+) -> None:
+    """Write everything needed to regenerate an output file bit-for-bit."""
+    record = {
+        "command": command,
+        "version": __version__,
+        "parameters": parameters,
+        "master_seed": master_seed,
+        "duration_seconds": duration_seconds,
+        "outputs": outputs,
+        **extras,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
 
 
 def _parse_dims(text: str) -> TorusShape:
@@ -75,8 +72,8 @@ def _parse_dims(text: str) -> TorusShape:
 
 def _open_out(path: str):
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        return nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 # ---------------------------------------------------------------------------
@@ -121,29 +118,26 @@ def cmd_simulate(args) -> int:
         dump_until = outcome.steps_taken
     states = trajectory(initial, dump_until)
 
-    out, is_file = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         for state in states:
             out.write(json.dumps(state.to_json_dict(), separators=(",", ":")) + "\n")
         out.write(json.dumps(_outcome_record(outcome), separators=(",", ":")) + "\n")
-    finally:
-        if is_file:
-            out.close()
     duration = time.perf_counter() - start
 
     if outcome.kind is OutcomeKind.UNRESOLVED:
         print(f"warning: no steady state or cycle within {max_steps} steps", file=sys.stderr)
-    if is_file:
+    if args.out != "-":
         parameters["max_steps"] = max_steps
-        manifest = RunManifest(
-            command="simulate",
-            parameters=parameters,
-            master_seed=args.seed if args.state is None else None,
-            outputs=[args.out],
-            duration_seconds=duration,
-            extras={"initial_state": initial.to_json_dict(), "outcome_kind": outcome.kind.value},
+        write_manifest(
+            args.out + ".manifest.json",
+            "simulate",
+            parameters,
+            args.seed if args.state is None else None,
+            [args.out],
+            duration,
+            initial_state=initial.to_json_dict(),
+            outcome_kind=outcome.kind.value,
         )
-        manifest.write(args.out + ".manifest.json")
     return EXIT_OK
 
 
@@ -182,7 +176,7 @@ def write_sweep_csv(result, path: str) -> None:
                     stats.samples,
                 ]
             )
-            for r in (1, 2, 3, 4):
+            for r in range(1, TAIL_MIN_SIZE):
                 writer.writerow([p, r, fmt(stats.mean_q(r)), fmt(stats.stderr_q(r)), "", "", "", "", ""])
             writer.writerow(
                 [p, "tail", fmt(stats.mean_tail_q()), fmt(stats.stderr_tail_q()), "", "", "", "", ""]
@@ -214,13 +208,7 @@ def cmd_sweep(args) -> int:
     result = run_sweep(config, workers=args.threads, progress=progress)
     duration = time.perf_counter() - start
     write_sweep_csv(result, csv_path)
-    RunManifest(
-        command="sweep",
-        parameters=config.to_json_dict(),
-        master_seed=config.master_seed,
-        outputs=[csv_path],
-        duration_seconds=duration,
-    ).write(manifest_path)
+    write_manifest(manifest_path, "sweep", config.to_json_dict(), config.master_seed, [csv_path], duration)
     return EXIT_OK
 
 
@@ -258,29 +246,23 @@ def cmd_primitive(args) -> int:
         raise ValueError("--p-steps must be >= 1")
     if not 0.0 <= args.p_max <= 1.0:
         raise ValueError(f"--p-max must be in [0, 1], got {args.p_max}")
+    if args.seeds < 1:
+        raise ValueError("--seeds must be >= 1")
 
     start = time.perf_counter()
-    out, is_file = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         write_primitive_csv(out, args.m, args.p_max, args.p_steps, args.seeds, args.seed)
-    finally:
-        if is_file:
-            out.close()
     duration = time.perf_counter() - start
 
-    if is_file:
-        RunManifest(
-            command="primitive",
-            parameters={
-                "m": args.m,
-                "p_max": args.p_max,
-                "p_steps": args.p_steps,
-                "seeds": args.seeds,
-            },
-            master_seed=args.seed,
-            outputs=[args.out],
-            duration_seconds=duration,
-        ).write(args.out + ".manifest.json")
+    if args.out != "-":
+        write_manifest(
+            args.out + ".manifest.json",
+            "primitive",
+            {"m": args.m, "p_max": args.p_max, "p_steps": args.p_steps, "seeds": args.seeds},
+            args.seed,
+            [args.out],
+            duration,
+        )
     return EXIT_OK
 
 

@@ -9,6 +9,7 @@ serve as dictionary-free value objects. All index arithmetic is modular.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Sequence
@@ -32,7 +33,10 @@ class TorusShape:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        try:
+            dims = tuple(operator.index(d) for d in self.dims)
+        except TypeError as exc:
+            raise ValueError(f"torus dimensions must be integers, got {self.dims!r}") from exc
         object.__setattr__(self, "dims", dims)
         if not 1 <= len(dims) <= 2:
             raise ValueError(f"torus must be 1D or 2D, got {len(dims)} dims")
@@ -138,15 +142,20 @@ class LatticeState:
     def from_json_dict(cls, data: dict) -> "LatticeState":
         if not isinstance(data, dict) or "dims" not in data or "values" not in data:
             raise ValueError("state object must have 'dims' and 'values' keys")
-        shape = TorusShape(tuple(data["dims"]))
         values = data["values"]
+        if not isinstance(data["dims"], list) or not isinstance(values, list):
+            raise ValueError("state 'dims' and 'values' must be lists")
+        shape = TorusShape(tuple(data["dims"]))
         if len(values) != shape.total_cells:
             raise ValueError(
                 f"expected {shape.total_cells} values for dims {shape.dims}, got {len(values)}"
             )
-        if any(not isinstance(v, int) for v in values):
-            raise ValueError("occupancies must be integers")
-        return cls(shape, np.asarray(values, dtype=np.int64))
+        if any(not isinstance(v, int) or isinstance(v, bool) or not 0 <= v <= _INT64_MAX for v in values):
+            raise ValueError("occupancies must be integers in 0..2**63-1")
+        try:
+            return cls(shape, np.asarray(values, dtype=np.int64))
+        except OverflowError as exc:
+            raise ValueError(str(exc)) from exc
 
 
 def save_state(state: LatticeState, path) -> None:

@@ -14,6 +14,7 @@ isolation.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 from typing import Callable, Mapping
@@ -69,8 +70,8 @@ class GroupHistogram:
     def mass(self) -> int:
         return sum(r * c for r, c in self.counts.items())
 
-    def tail_count(self, min_size: int = TAIL_MIN_SIZE) -> int:
-        return sum(c for r, c in self.counts.items() if r >= min_size)
+    def tail_count(self) -> int:
+        return sum(c for r, c in self.counts.items() if r >= TAIL_MIN_SIZE)
 
 
 def measure(state: LatticeState) -> GroupHistogram:
@@ -277,6 +278,8 @@ def _sample_block(args) -> GridPointStats:
 
 
 def _blocks(n_samples: int, workers: int) -> list[tuple[int, int]]:
+    if workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {workers}")
     # a few blocks per worker keeps the pool busy without tiny tasks
     block = max(1, -(-n_samples // (workers * 4)))
     return [(j, min(j + block, n_samples)) for j in range(0, n_samples, block)]
@@ -305,13 +308,10 @@ def sample_grid_point(
 ) -> GridPointStats:
     """Aggregate ``samples`` independent trajectories at one p value.
 
-    The result is identical for any ``workers`` count: partial integer
-    accumulators are merged, and merging commutes.
+    The result is identical for any ``workers`` count: serial or pooled,
+    the samples run in blocks whose integer accumulators are merged, and
+    merging commutes.
     """
-    if max_steps is None:
-        max_steps = default_max_steps(shape)
-    if workers <= 1 and pool is None:
-        return _sample_block((shape.dims, p, grid_index, 0, samples, master_seed, max_steps))
     args = [
         (shape.dims, p, grid_index, j0, j1, master_seed, max_steps)
         for j0, j1 in _blocks(samples, workers)
@@ -328,10 +328,8 @@ def run_sweep(
     progress: Callable[[int, float, GridPointStats], None] | None = None,
 ) -> SweepResult:
     """Run the whole p-grid; deterministic given the config, at any parallelism."""
-    max_steps = config.resolved_max_steps()
     points: list[GridPointStats] = []
-
-    def collect(pool):
+    with Pool(processes=workers) if workers > 1 else nullcontext() as pool:
         for i, p in enumerate(config.p_values()):
             stats = sample_grid_point(
                 config.shape,
@@ -339,17 +337,11 @@ def run_sweep(
                 config.samples_per_p,
                 config.master_seed,
                 grid_index=i,
-                max_steps=max_steps,
+                max_steps=config.max_steps,
                 workers=workers,
                 pool=pool,
             )
             points.append(stats)
             if progress is not None:
                 progress(i, p, stats)
-
-    if workers > 1:
-        with Pool(processes=workers) as pool:
-            collect(pool)
-    else:
-        collect(None)
     return SweepResult(config=config, points=points)

@@ -19,7 +19,7 @@ identically (mass conservation in expectation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isclose
+from math import comb
 
 import numpy as np
 
@@ -27,37 +27,23 @@ from .lattice import LatticeState, TorusShape
 from .montecarlo import GroupHistogram, measure, mix_seed
 
 
-@dataclass(frozen=True)
-class ReceiveProbabilities:
-    """Chance that an odd cell ends up holding 1, 2, or 3 of the variables.
+# Chance that an odd cell ends up holding 1, 2 or 3 of the variables: the
+# cell always keeps its own, and each of its two even neighbors arrives
+# independently with probability 1/2.
+RECEIVE_WEIGHTS = (0.25, 0.5, 0.25)
 
-    The cell always keeps its own variable; each of the two even
-    neighbors arrives independently with probability 1/2.
+
+def binomial_mixture_density(r: int, p: float) -> float:
+    """Density of r-element groups via the binomial mixture (no closed form).
+
+    Half the cells are odd; an odd cell holding n variables contains an
+    r-group with binomial probability C(n, r) p^r (1-p)^(n-r).
     """
-
-    s1: float = 0.25
-    s2: float = 0.5
-    s3: float = 0.25
-
-    def __post_init__(self):
-        if not isclose(self.s1 + self.s2 + self.s3, 1.0, abs_tol=1e-12):
-            raise ValueError("receive probabilities must sum to 1")
-
-    def group_density(self, r: int, p: float) -> float:
-        """Density of r-element groups via the binomial mixture (no closed form).
-
-        Half the cells are odd; an odd cell holding n variables contains an
-        r-group with binomial probability C(n, r) p^r (1-p)^(n-r).
-        """
-        weights = (self.s1, self.s2, self.s3)
-        total = 0.0
-        for n, s in zip((1, 2, 3), weights):
-            if r <= n:
-                total += s * comb(n, r) * p**r * (1.0 - p) ** (n - r)
-        return total / 2.0
-
-
-RECEIVE_PROBABILITIES = ReceiveProbabilities()
+    total = 0.0
+    for n, s in zip((1, 2, 3), RECEIVE_WEIGHTS):
+        if r <= n:
+            total += s * comb(n, r) * p**r * (1.0 - p) ** (n - r)
+    return total / 2.0
 
 
 @dataclass(frozen=True)
@@ -116,6 +102,8 @@ def replica_densities(
     """Means and standard errors of Q_1, Q_2, Q_3 over ``n_seeds`` replicas
     of the one-step model; replica j is seeded by
     ``mix_seed(master_seed, grid_index, j)``."""
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     per_seed = [[], [], []]
     for j in range(n_seeds):
         hist = simulate_primitive(m, p, mix_seed(master_seed, grid_index, j))

@@ -80,9 +80,18 @@ class TestSimulate:
 
     def test_invalid_state_file_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"dims": [4], "values": [1, 2]}')
-        assert main(["simulate", "--state", str(bad)]) == 2
-        assert "error" in capsys.readouterr().err
+        for text in (
+            '{"dims": [4], "values": [1, 2]}',
+            '{"dims": 5, "values": [1, 0, 0, 0, 0]}',
+            '{"dims": [3], "values": [18446744073709551616, 0, 0]}',
+            '{"dims": [3], "values": [9223372036854775807, 1, 0]}',
+            '{"dims": [3], "values": [true, 0, 0]}',
+        ):
+            bad.write_text(text)
+            assert main(["simulate", "--state", str(bad)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+            assert captured.out == ""
 
     def test_unreadable_state_file_is_usage_error(self, tmp_path, capsys):
         assert main(["simulate", "--state", str(tmp_path / "missing.json")]) == 2
@@ -158,6 +167,17 @@ class TestSweep:
         assert main(["sweep", config, "--out", str(tmp_path / "out")]) == 2
         assert "p_max" in capsys.readouterr().err
 
+    def test_non_integer_dims_named(self, tmp_path, capsys):
+        config = write_json(tmp_path / "config.json", self._config_payload(dims=[30.7]))
+        assert main(["sweep", config, "--out", str(tmp_path / "out")]) == 2
+        assert "dims" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_no_workers_is_usage_error(self, tmp_path, capsys):
+        config = write_json(tmp_path / "config.json", self._config_payload())
+        assert main(["sweep", config, "--out", str(tmp_path / "out"), "--threads", "0"]) == 2
+        assert "worker count" in capsys.readouterr().err
+
     def test_malformed_json(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text("{oops")
@@ -193,6 +213,13 @@ class TestPrimitive:
     def test_odd_m_is_usage_error(self, capsys):
         assert main(["primitive", "--m", "9"]) == 2
         assert "even" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_no_replicas_is_usage_error(self, seeds, capsys):
+        assert main(["primitive", "--m", "10", "--p-steps", "1", "--seeds", seeds]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--seeds" in captured.err
 
     def test_deterministic_output(self, tmp_path):
         args = ["primitive", "--m", "30", "--p-steps", "3", "--seeds", "2", "--seed", "8"]

@@ -17,7 +17,9 @@ class TestTorusShape:
         assert shape.ndim == 2
         assert shape.total_cells == 35
 
-    @pytest.mark.parametrize("dims", [(), (3, 3, 3), (2,), (1,), (4, 2), (0, 5)])
+    @pytest.mark.parametrize(
+        "dims", [(), (3, 3, 3), (2,), (1,), (4, 2), (0, 5), (30.7,), (5.0,), ("30",)]
+    )
     def test_invalid_dims_rejected(self, dims):
         with pytest.raises(ValueError):
             TorusShape(dims)
@@ -176,6 +178,15 @@ class TestSerialization:
             LatticeState.from_json_dict({"values": [1, 0, 0]})
         with pytest.raises(ValueError):
             LatticeState.from_json_dict([1, 0, 0])
+        for bad in (
+            {"dims": 5, "values": [1, 0, 0, 0, 0]},
+            {"dims": [5.9], "values": [1, 0, 0, 0, 0]},
+            {"dims": [3], "values": [True, 0, 0]},
+            {"dims": [3], "values": [2**64, 0, 0]},
+            {"dims": [3], "values": [2**63 - 1, 1, 0]},
+        ):
+            with pytest.raises(ValueError):
+                LatticeState.from_json_dict(bad)
 
     def test_reader_rejects_bad_json_file(self, tmp_path):
         path = tmp_path / "broken.json"

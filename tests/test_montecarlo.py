@@ -9,6 +9,7 @@ from groupform import (
     SweepConfig,
     TorusShape,
     bernoulli_state,
+    default_max_steps,
     measure,
     mix_seed,
     run_sample,
@@ -70,7 +71,6 @@ class TestMeasure:
     def test_tail_count(self):
         hist = measure(LatticeState(TorusShape((6,)), [5, 7, 1, 0, 5, 0]))
         assert hist.tail_count() == 3
-        assert hist.tail_count(min_size=6) == 1
 
 
 class TestMixSeed:
@@ -164,6 +164,11 @@ class TestSampleGridPoint:
         serial = sample_grid_point(shape, 0.7, 40, master_seed=77, workers=1)
         parallel = sample_grid_point(shape, 0.7, 40, master_seed=77, workers=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_no_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="worker count"):
+            sample_grid_point(TorusShape((30,)), 0.5, 10, master_seed=3, workers=workers)
 
     def test_counts_partition_samples(self):
         stats = sample_grid_point(TorusShape((30,)), 0.9, 25, master_seed=3)
@@ -273,6 +278,47 @@ class TestRunSweep:
         monkeypatch.setattr(mc, "run_sample", poisoned)
         with pytest.raises(OverflowError, match=r"grid_index=1.*sample_index=3"):
             run_sweep(self._config())
+
+
+class TestBenchmarkHooks:
+    """The benchmark tracer swaps in its own ``montecarlo.Pool`` and reads
+    ``SweepConfig.resolved_max_steps``; the library itself needs neither
+    hook, so these tests keep them working."""
+
+    def test_sweep_pool_looked_up_at_call_time(self, monkeypatch):
+        import groupform.montecarlo as mc
+
+        real_pool = mc.Pool
+        built, maps = [], []
+
+        class RecordingPool:
+            def __init__(self, *args, **kwargs):
+                self._pool = real_pool(*args, **kwargs)
+                built.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self._pool.__exit__(*exc)
+
+            def map(self, fn, iterable):
+                maps.append(fn)
+                return self._pool.map(fn, iterable)
+
+        config = SweepConfig(TorusShape((24,)), p_max=0.8, p_steps=2, samples_per_p=12, master_seed=2024)
+        serial = run_sweep(config, workers=1)
+        assert built == [] and maps == []
+        monkeypatch.setattr(mc, "Pool", RecordingPool)
+        pooled = run_sweep(config, workers=2)
+        assert len(built) == 1
+        assert len(maps) == len(config.p_values()) == 3
+        assert pooled.points == serial.points
+
+    def test_resolved_max_steps(self):
+        shape = TorusShape((7, 5))
+        assert SweepConfig(shape, 0.5, 2, 4, 0).resolved_max_steps() == default_max_steps(shape)
+        assert SweepConfig(shape, 0.5, 2, 4, 0, max_steps=9).resolved_max_steps() == 9
 
 
 class TestDensityCurveShape:

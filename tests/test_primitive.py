@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from groupform import (
-    RECEIVE_PROBABILITIES,
-    ReceiveProbabilities,
-    analytic_densities,
-    mix_seed,
-    simulate_primitive,
-)
+from groupform import analytic_densities, mix_seed, simulate_primitive
+from groupform.primitive import binomial_mixture_density, replica_densities
 
 
 class TestAnalyticDensities:
@@ -45,23 +40,12 @@ class TestAnalyticDensities:
         # receive probabilities instead of using the expanded polynomials
         densities = analytic_densities(p)
         for r, q in zip((1, 2, 3), densities.as_tuple()):
-            assert abs(RECEIVE_PROBABILITIES.group_density(r, p) - q) <= 1e-12
+            assert abs(binomial_mixture_density(r, p) - q) <= 1e-12
 
 
 class TestReceiveProbabilities:
-    def test_defaults(self):
-        assert (RECEIVE_PROBABILITIES.s1, RECEIVE_PROBABILITIES.s2, RECEIVE_PROBABILITIES.s3) == (
-            0.25,
-            0.5,
-            0.25,
-        )
-
-    def test_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            ReceiveProbabilities(0.5, 0.5, 0.5)
-
     def test_oversized_groups_impossible(self):
-        assert RECEIVE_PROBABILITIES.group_density(4, 0.9) == 0.0
+        assert binomial_mixture_density(4, 0.9) == 0.0
 
 
 class TestSimulatePrimitive:
@@ -119,3 +103,10 @@ class TestSimulatePrimitive:
                 assert abs(mean - expected.as_tuple()[r - 1]) <= 4 * stderr, (
                     f"r={r} p={p}: {mean} vs {expected.as_tuple()[r - 1]} (se {stderr})"
                 )
+
+
+class TestReplicaDensities:
+    @pytest.mark.parametrize("n_seeds", [0, -1])
+    def test_no_replicas_rejected(self, n_seeds):
+        with pytest.raises(ValueError, match="n_seeds"):
+            replica_densities(10, 0.5, 0, n_seeds, master_seed=0)
