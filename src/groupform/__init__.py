@@ -9,7 +9,7 @@ its closed forms.
 
 __version__ = "0.1.0"
 
-from .dynamics import gradient, step, step_oracle
+from .dynamics import step, step_oracle
 from .lattice import LatticeState, TorusShape, load_state, save_state, wrap
 from .montecarlo import (
     GroupHistogram,
@@ -52,7 +52,6 @@ __all__ = [
     "bernoulli_state",
     "default_max_steps",
     "evolve",
-    "gradient",
     "load_state",
     "measure",
     "mix_seed",

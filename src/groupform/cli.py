@@ -271,7 +271,9 @@ def cmd_primitive(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = full_checks(workers=args.threads) if args.scale == "full" else quick_checks(workers=args.threads)
+    if args.threads < 1:
+        raise ValueError("--threads must be >= 1")
+    checks = full_checks(workers=args.threads) if args.scale == "full" else quick_checks()
     failed = [c for c in checks if not c.passed]
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
@@ -319,7 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the named invariant and reproduction checks")
     ver.add_argument("--scale", choices=("quick", "full"), default="quick")
-    ver.add_argument("--threads", type=int, default=os.cpu_count() or 1, help="worker processes")
+    ver.add_argument(
+        "--threads", type=int, default=os.cpu_count() or 1, help="worker processes for the full-scale checks"
+    )
     ver.set_defaults(func=cmd_verify)
 
     return parser

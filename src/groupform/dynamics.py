@@ -8,58 +8,42 @@ Groups landing in the same cell merge by summing. Displacements of any
 magnitude are legal and wrap around the torus.
 
 ``tick_kernel`` builds the one production kernel: a function on raw
-flat int64 arrays, built once per ``step``, ``evolve`` or ``trajectory``
-call from precomputed neighbour-index tables, so that a tick costs a
-handful of numpy calls over the occupied cells and no ``LatticeState``
-rebuild. ``step`` applies it once and wraps the result at the API
-boundary. ``step_oracle`` is a deliberately naive reference that tests
+flat int64 arrays, built from precomputed neighbour-index tables and
+cached per torus shape for the life of the process, so that a tick
+costs a handful of numpy calls over the occupied cells and no
+``LatticeState`` rebuild. ``step`` applies it once and wraps the result
+at the API boundary. ``step_oracle`` is a deliberately naive reference that tests
 every (target, source) pair against the defining condition, kept around
 purely for equivalence testing.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .lattice import LatticeState, TorusShape, wrap
-
-# One signed displacement per axis, in cells per step.
-Displacement = tuple[int, ...]
+from .lattice import LatticeState, TorusShape
 
 # One tick on flat row-major int64 occupancies: T(n) -> T(n+1).
 Tick = Callable[[np.ndarray], np.ndarray]
 
 
-def gradient(state: LatticeState, k) -> Displacement:
-    """Central difference of the occupancy around cell ``k``, per axis.
-
-    This is the displacement the group in ``k`` is pushed by: a larger
-    right neighbor gives a positive component, moving the group left.
-    """
-    k = wrap(state.shape, k)
-    v = state.values
-    comps = []
-    for axis, d in enumerate(state.shape.dims):
-        up = list(k)
-        dn = list(k)
-        up[axis] = (k[axis] + 1) % d
-        dn[axis] = (k[axis] - 1) % d
-        comps.append(int(v[tuple(up)]) - int(v[tuple(dn)]))
-    return tuple(comps)
-
-
+@lru_cache(maxsize=64)
 def tick_kernel(shape: TorusShape) -> Tick:
     """The production tick for ``shape``, on flat row-major int64 arrays.
 
     The returned function maps the occupancies T(n) to a new array holding
     T(n+1) and never writes to its argument. Neighbour, coordinate and
-    wrap tables are built here, once per caller, so that a tick touches
-    only the occupied cells: it gathers their two neighbours per axis,
-    reduces each displacement modulo the axis length before forming the
-    target (so occupancies near 2**63 never wrap), and merges colliding
-    groups with one exact int64 ``np.add.at``. It does not check mass;
+    wrap tables are built on the first call for each shape and never
+    written to afterwards, and the returned tick is pure, so one tick per
+    shape is cached and shared by every ``step``, ``evolve`` and
+    ``trajectory`` call in the process. A tick touches only the occupied
+    cells: it gathers their two neighbours per axis, reduces each
+    displacement modulo the axis length before forming the target (so
+    occupancies near 2**63 never wrap), and merges colliding groups with
+    one exact int64 ``np.add.at``. It does not check mass;
     callers wrap its output with ``conserved_state``.
     """
     dims = shape.dims
@@ -109,8 +93,9 @@ def conserved_state(reference: LatticeState, values: np.ndarray) -> LatticeState
 def step(state: LatticeState) -> LatticeState:
     """Advance the state one tick; total mass is conserved exactly.
 
-    Only occupied cells are visited: each scatters its value onto
-    ``wrap(k - gradient(k))`` and deposits on a common target accumulate.
+    Only occupied cells are visited: each scatters its value onto its own
+    cell minus the central difference of its neighbours, wrapped onto the
+    torus, and deposits on a common target accumulate.
     """
     return conserved_state(state, tick_kernel(state.shape)(state.values.reshape(-1)))
 

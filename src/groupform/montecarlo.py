@@ -285,17 +285,6 @@ def _blocks(n_samples: int, workers: int) -> list[tuple[int, int]]:
     return [(j, min(j + block, n_samples)) for j in range(0, n_samples, block)]
 
 
-def map_blocks(fn: Callable, args: list, workers: int, pool=None) -> list:
-    """``[fn(a) for a in args]``, run on ``pool`` if given, else on a pool of
-    ``workers`` processes that lives for this call, else in this process."""
-    if pool is not None:
-        return pool.map(fn, args)
-    if workers <= 1:
-        return [fn(a) for a in args]
-    with Pool(processes=workers) as owned:
-        return owned.map(fn, args)
-
-
 def sample_grid_point(
     shape: TorusShape,
     p: float,
@@ -308,16 +297,24 @@ def sample_grid_point(
 ) -> GridPointStats:
     """Aggregate ``samples`` independent trajectories at one p value.
 
-    The result is identical for any ``workers`` count: serial or pooled,
-    the samples run in blocks whose integer accumulators are merged, and
-    merging commutes.
+    The samples run in blocks, on ``pool`` if given, else on a pool of
+    ``workers`` processes that lives for this call, else in this process.
+    The result is identical for any ``workers`` count: the blocks' integer
+    accumulators are merged, and merging commutes.
     """
     args = [
         (shape.dims, p, grid_index, j0, j1, master_seed, max_steps)
         for j0, j1 in _blocks(samples, workers)
     ]
+    if pool is not None:
+        parts = pool.map(_sample_block, args)
+    elif workers <= 1:
+        parts = [_sample_block(a) for a in args]
+    else:
+        with Pool(processes=workers) as owned:
+            parts = owned.map(_sample_block, args)
     stats = GridPointStats(p=p, grid_index=grid_index, total_cells=shape.total_cells)
-    for part in map_blocks(_sample_block, args, workers, pool):
+    for part in parts:
         stats.merge(part)
     return stats
 

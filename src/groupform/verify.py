@@ -8,14 +8,11 @@ published steady-state measurements (relaxation times, two-element
 dominance, size insensitivity, periodic-state rarity, 1D-vs-2D density
 spread), which take minutes.
 
-Every check is deterministic for a given worker count: random inputs
-come from fixed seeds, and sweep aggregation is bit-exact at any worker
-count. The property checks (oracle equivalence, conservation, symmetry)
-are not worker-independent, though: they split their states into
-``4 * workers`` blocks, each seeded by its block index, so two worker
-counts share only the leading states of each block index. A faulty
-``step`` can then fail at one worker count and pass at another, or
-report a different first failure.
+Every check is deterministic: random inputs come from fixed seeds, and
+sweep aggregation is bit-exact at any worker count. The property checks
+(oracle equivalence, conservation, symmetry) run in this process on one
+seeded stream per dimension, so the states they draw, and the first
+failure they report, depend only on the seed and ``n_states``.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ import numpy as np
 
 from .dynamics import step, step_oracle
 from .lattice import LatticeState, TorusShape
-from .montecarlo import _blocks, map_blocks, mix_seed, sample_grid_point
+from .montecarlo import mix_seed, sample_grid_point
 from .primitive import analytic_densities, replica_densities
 from .steady import OutcomeKind, evolve
 
@@ -166,67 +163,56 @@ def _reflection_failure(state: LatticeState, rng: np.random.Generator) -> str:
     return ""
 
 
-def _first_failure(args) -> str:
-    failure, ndim, count, seed = args
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        detail = failure(_random_state(rng, ndim), rng)
-        if detail:
-            return detail
-    return ""
-
-
 def _property_check(
     name: str,
     failure: Callable[[LatticeState, np.random.Generator], str],
     ndims: tuple[int, ...],
     seed: int,
     n_states: int,
-    workers: int,
     holds: str = "holds on {} random states (1D and 2D)",
 ) -> CheckResult:
     """Run ``failure`` on ``n_states`` random states of each dimension in
     ``ndims``; report the first failure, or ``holds`` with the state count."""
 
     def run():
-        args = [
-            (failure, ndim, j1 - j0, mix_seed(seed, ndim, b))
-            for ndim in ndims
-            for b, (j0, j1) in enumerate(_blocks(n_states, workers))
-        ]
-        detail = next(filter(None, map_blocks(_first_failure, args, workers)), "")
-        return not detail, detail or holds.format(sum(count for _, _, count, _ in args))
+        for ndim in ndims:
+            rng = np.random.default_rng(mix_seed(seed, ndim, 0))
+            for _ in range(n_states):
+                detail = failure(_random_state(rng, ndim), rng)
+                if detail:
+                    return False, detail
+        return True, holds.format(n_states * len(ndims))
 
     return _timed(name, run)
 
 
-def check_oracle_equivalence_1d(n_states: int = 10_000, workers: int = 1) -> CheckResult:
+def check_oracle_equivalence_1d(n_states: int = 10_000) -> CheckResult:
     return _property_check(
-        "oracle-equivalence-1d", _oracle_failure, (1,), _SEED_ORACLE_1D, n_states, workers,
+        "oracle-equivalence-1d", _oracle_failure, (1,), _SEED_ORACLE_1D, n_states,
         "step == naive reference on {} random 1D states",
     )
 
 
-def check_oracle_equivalence_2d(n_states: int = 10_000, workers: int = 1) -> CheckResult:
+def check_oracle_equivalence_2d(n_states: int = 10_000) -> CheckResult:
     return _property_check(
-        "oracle-equivalence-2d", _oracle_failure, (2,), _SEED_ORACLE_2D, n_states, workers,
+        "oracle-equivalence-2d", _oracle_failure, (2,), _SEED_ORACLE_2D, n_states,
         "step == naive reference on {} random 2D states",
     )
 
 
-def check_mass_conservation(n_states: int = 10_000, workers: int = 1) -> CheckResult:
-    return _property_check("mass-conservation", _mass_failure, (1, 2), _SEED_MASS, n_states, workers)
+def check_mass_conservation(n_states: int = 10_000) -> CheckResult:
+    return _property_check("mass-conservation", _mass_failure, (1, 2), _SEED_MASS, n_states)
 
 
-def check_translation_equivariance(n_states: int = 10_000, workers: int = 1) -> CheckResult:
+def check_translation_equivariance(n_states: int = 10_000) -> CheckResult:
     return _property_check(
-        "translation-equivariance", _translation_failure, (1, 2), _SEED_TRANSLATION, n_states, workers
+        "translation-equivariance", _translation_failure, (1, 2), _SEED_TRANSLATION, n_states
     )
 
 
-def check_reflection_equivariance(n_states: int = 10_000, workers: int = 1) -> CheckResult:
+def check_reflection_equivariance(n_states: int = 10_000) -> CheckResult:
     return _property_check(
-        "reflection-equivariance", _reflection_failure, (1, 2), _SEED_REFLECTION, n_states, workers
+        "reflection-equivariance", _reflection_failure, (1, 2), _SEED_REFLECTION, n_states
     )
 
 
@@ -373,21 +359,21 @@ def check_2d_spread(samples: int = 500, workers: int = 1) -> CheckResult:
 # suites
 
 
-def quick_checks(workers: int = 1) -> list[CheckResult]:
+def quick_checks() -> list[CheckResult]:
     return [
         check_worked_examples(),
-        check_oracle_equivalence_1d(workers=workers),
-        check_oracle_equivalence_2d(workers=workers),
-        check_mass_conservation(workers=workers),
-        check_translation_equivariance(workers=workers),
-        check_reflection_equivariance(workers=workers),
+        check_oracle_equivalence_1d(),
+        check_oracle_equivalence_2d(),
+        check_mass_conservation(),
+        check_translation_equivariance(),
+        check_reflection_equivariance(),
         check_primitive_mass_identity(),
         check_primitive_convergence(),
     ]
 
 
 def full_checks(workers: int = 1) -> list[CheckResult]:
-    results = quick_checks(workers=workers)
+    results = quick_checks()
     results.extend(
         [
             check_relaxation_time(3000, expected=50.0, workers=workers),

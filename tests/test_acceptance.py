@@ -50,13 +50,13 @@ class TestAcceptance:
         report(5, verify.check_steady_prevalence(m=3000, samples=2000, workers=WORKERS))
 
     def test_6_oracle_equivalence(self):
-        report(6, verify.check_oracle_equivalence_1d(n_states=10_000, workers=WORKERS))
-        report(6, verify.check_oracle_equivalence_2d(n_states=10_000, workers=WORKERS))
+        report(6, verify.check_oracle_equivalence_1d(n_states=10_000))
+        report(6, verify.check_oracle_equivalence_2d(n_states=10_000))
 
     def test_7_property_suite(self):
-        report(7, verify.check_mass_conservation(n_states=10_000, workers=WORKERS))
-        report(7, verify.check_translation_equivariance(n_states=10_000, workers=WORKERS))
-        report(7, verify.check_reflection_equivariance(n_states=10_000, workers=WORKERS))
+        report(7, verify.check_mass_conservation(n_states=10_000))
+        report(7, verify.check_translation_equivariance(n_states=10_000))
+        report(7, verify.check_reflection_equivariance(n_states=10_000))
         report(7, verify.check_worked_examples())
 
     def test_8_2d_density_spread(self):

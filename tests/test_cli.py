@@ -260,25 +260,27 @@ class TestVerify:
     def test_pass_and_fail_exit_codes(self, monkeypatch, capsys):
         import groupform.cli as cli
 
-        calls = {}
-
-        def fake_quick(workers):
-            calls["workers"] = workers
-            return [CheckResult("demo-check", True, "fine", 0.01)]
-
-        monkeypatch.setattr(cli, "quick_checks", fake_quick)
+        monkeypatch.setattr(cli, "quick_checks", lambda: [CheckResult("demo-check", True, "fine", 0.01)])
         assert main(["verify", "--scale", "quick", "--threads", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS demo-check" in out
-        assert calls["workers"] == 3
+        assert "PASS demo-check" in capsys.readouterr().out
 
-        monkeypatch.setattr(
-            cli,
-            "quick_checks",
-            lambda workers: [CheckResult("demo-check", False, "broken", 0.01)],
-        )
+        monkeypatch.setattr(cli, "quick_checks", lambda: [CheckResult("demo-check", False, "broken", 0.01)])
         assert main(["verify"]) == 1
         assert "FAIL demo-check" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_no_workers_is_usage_error(self, monkeypatch, threads, capsys):
+        import groupform.cli as cli
+
+        def unreachable():
+            raise AssertionError("checks ran despite a bad --threads")
+
+        monkeypatch.setattr(cli, "quick_checks", unreachable)
+        assert main(["verify", "--scale", "quick", "--threads", threads]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+        assert "--threads" in captured.err
 
     def test_unknown_scale_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

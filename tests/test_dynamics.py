@@ -2,42 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from groupform import LatticeState, TorusShape, gradient, step, step_oracle
+from groupform import LatticeState, TorusShape, step, step_oracle
 from groupform.dynamics import conserved_state
 
 from conftest import lattice_states, offsets_for
 
 FIG_EXAMPLE = [0, 0, 1, 1, 2, 0, 0, 2, 1, 2, 0, 1, 1, 0]
-
-
-class TestGradient:
-    def test_1d_example(self):
-        state = LatticeState(TorusShape((14,)), FIG_EXAMPLE)
-        assert gradient(state, (4,)) == (-1,)
-
-    def test_isolated_group(self):
-        state = LatticeState(TorusShape((5,)), [0, 0, 3, 0, 0])
-        assert gradient(state, (2,)) == (0,)
-
-    def test_2d_example(self):
-        values = np.zeros((3, 3), dtype=np.int64)
-        values[2, 1] = 2  # below (axis-0 successor)
-        values[0, 1] = 0  # above
-        values[1, 0] = 1  # left
-        values[1, 2] = 1  # right
-        state = LatticeState(TorusShape((3, 3)), values)
-        assert gradient(state, (1, 1)) == (2, 0)
-
-    def test_wraps_at_boundary(self):
-        state = LatticeState(TorusShape((5,)), [0, 2, 0, 0, 1])
-        # neighbors of cell 0 are cells 1 and 4
-        assert gradient(state, (0,)) == (1,)
-        assert gradient(state, (5,)) == (1,)
-
-    def test_dimension_mismatch(self):
-        state = LatticeState(TorusShape((5,)), [0, 2, 0, 0, 1])
-        with pytest.raises(ValueError):
-            gradient(state, (1, 1))
 
 
 class TestStepExamples:
