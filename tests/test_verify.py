@@ -45,37 +45,63 @@ DRAWN = {
     ),
 }
 
-# check name -> (passed, detail) under ``_rolled_at_15``
+# (check name, ndim) -> (passed, detail) under ``_rolled_at_15_in(ndim)``.
+# Each dimension has its own seeded stream, so the first violation on
+# ndim-D states does not depend on whether the other dimension is broken.
 UNDER_ROLLED_STEP = {
-    "check_oracle_equivalence_1d": (
+    ("check_oracle_equivalence_1d", 1): (
         False,
         "first mismatch on [3, 0, 2, 2, 2, 1, 2, 1, 0, 2, 2, 3, 0, 2, 3] (dims (15,))",
     ),
-    "check_oracle_equivalence_2d": (
+    ("check_oracle_equivalence_1d", 2): (
+        True,
+        "step == naive reference on 101 random 1D states",
+    ),
+    ("check_oracle_equivalence_2d", 1): (
+        True,
+        "step == naive reference on 101 random 2D states",
+    ),
+    ("check_oracle_equivalence_2d", 2): (
         False,
         "first mismatch on [[3, 2, 0], [1, 2, 0], [2, 0, 3], [0, 2, 0], [0, 0, 0]] (dims (5, 3))",
     ),
-    "check_mass_conservation": (True, "holds on 202 random states (1D and 2D)"),
-    "check_translation_equivariance": (
+    ("check_mass_conservation", 1): (True, "holds on 202 random states (1D and 2D)"),
+    ("check_mass_conservation", 2): (True, "holds on 202 random states (1D and 2D)"),
+    ("check_translation_equivariance", 1): (
         False,
         "shift by [-2] not equivariant for [2, 1, 0, 0, 2, 3, 2, 0, 0, 2, 2, 3, 2, 2, 2]",
     ),
-    "check_reflection_equivariance": (
+    ("check_translation_equivariance", 2): (
+        False,
+        "shift by [17, -3] not equivariant for"
+        " [[0, 0, 0], [1, 1, 0], [2, 1, 1], [2, 0, 3], [1, 1, 2]]",
+    ),
+    ("check_reflection_equivariance", 1): (
         False,
         "reflection not equivariant for [3, 1, 0, 1, 3, 2, 3, 2, 3, 0, 2, 3, 2, 1, 0]",
+    ),
+    ("check_reflection_equivariance", 2): (
+        False,
+        "reflection not equivariant for [[2, 0, 0], [1, 0, 2], [1, 0, 0], [1, 0, 0], [0, 2, 3]]",
     ),
 }
 
 _real_step = verify.step
 
 
-def _rolled_at_15(state):
-    """A wrong but mass-conserving step: on 15-cell states whose first cell
-    holds more than one element, the true result is rolled by one cell."""
-    out = _real_step(state)
-    if state.values.size == 15 and state.values.flat[0] > 1:
-        return LatticeState(state.shape, np.roll(out.values, 1))
-    return out
+def _rolled_at_15_in(ndim):
+    """A wrong but mass-conserving step: on ndim-D states of 15 cells whose
+    first cell holds more than one element, the true result is rolled by
+    one cell."""
+
+    def rolled(state):
+        out = _real_step(state)
+        values = state.values
+        if values.ndim == ndim and values.size == 15 and values.flat[0] > 1:
+            return LatticeState(state.shape, np.roll(out.values, 1))
+        return out
+
+    return rolled
 
 
 @pytest.mark.parametrize("name", sorted(DRAWN))
@@ -97,11 +123,12 @@ def test_states_drawn_and_pass_detail(monkeypatch, name):
     assert (result.passed, result.detail) == (True, detail)
 
 
-def test_first_violation_detail(monkeypatch):
-    monkeypatch.setattr(verify, "step", _rolled_at_15)
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_first_violation_detail(monkeypatch, ndim):
+    monkeypatch.setattr(verify, "step", _rolled_at_15_in(ndim))
     for name in DRAWN:
         result = getattr(verify, name)(n_states=N_STATES)
-        assert (result.passed, result.detail) == UNDER_ROLLED_STEP[name], name
+        assert (result.passed, result.detail) == UNDER_ROLLED_STEP[name, ndim], name
 
 
 def test_primitive_convergence_detail():
