@@ -10,7 +10,7 @@ its closed forms.
 __version__ = "0.1.0"
 
 from .dynamics import step, step_oracle
-from .lattice import LatticeState, TorusShape, load_state, save_state, wrap
+from .lattice import LatticeState, TorusShape, load_state, save_state
 from .montecarlo import (
     GroupHistogram,
     GridPointStats,
@@ -24,11 +24,7 @@ from .montecarlo import (
     run_sweep,
     sample_grid_point,
 )
-from .primitive import (
-    PrimitiveDensities,
-    analytic_densities,
-    simulate_primitive,
-)
+from .primitive import analytic_densities, simulate_primitive
 from .steady import (
     OutcomeKind,
     TrajectoryOutcome,
@@ -42,7 +38,6 @@ __all__ = [
     "GridPointStats",
     "LatticeState",
     "OutcomeKind",
-    "PrimitiveDensities",
     "SampleResult",
     "SweepConfig",
     "SweepResult",
@@ -63,5 +58,4 @@ __all__ = [
     "step",
     "step_oracle",
     "trajectory",
-    "wrap",
 ]

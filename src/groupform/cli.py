@@ -110,12 +110,8 @@ def cmd_simulate(args) -> int:
     max_steps = args.max_steps if args.max_steps is not None else default_max_steps(initial.shape)
     start = time.perf_counter()
     outcome = evolve(initial, max_steps)
-    if outcome.kind is OutcomeKind.FIXED:
-        dump_until = outcome.n_st
-    elif outcome.kind is OutcomeKind.PERIODIC:
-        dump_until = outcome.entry_time + outcome.period
-    else:
-        dump_until = outcome.steps_taken
+    # a periodic outcome's steps_taken is entry_time + period
+    dump_until = outcome.n_st if outcome.kind is OutcomeKind.FIXED else outcome.steps_taken
     states = trajectory(initial, dump_until)
 
     with _open_out(args.out) as out:
@@ -184,6 +180,8 @@ def write_sweep_csv(result, path: str) -> None:
 
 
 def cmd_sweep(args) -> int:
+    if args.threads < 1:
+        raise ValueError("--threads must be >= 1")
     with open(args.config, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -236,7 +234,7 @@ def write_primitive_csv(out, m: int, p_max: float, p_steps: int, seeds: int, mas
     for i in range(p_steps + 1):
         p = i * p_max / p_steps
         means, errors = replica_densities(m, p, i, seeds, master_seed)
-        writer.writerow([fmt(x) for x in (p, *analytic_densities(p).as_tuple(), *means, *errors)])
+        writer.writerow([fmt(x) for x in (p, *analytic_densities(p), *means, *errors)])
 
 
 def cmd_primitive(args) -> int:

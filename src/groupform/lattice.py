@@ -19,9 +19,6 @@ import numpy as np
 _UINT64_MAX = 2**64 - 1
 _INT64_MAX = 2**63 - 1
 
-CellIndex = tuple[int, ...]
-
-
 @dataclass(frozen=True)
 class TorusShape:
     """Dimensions of a cyclic lattice, one entry per axis (1D or 2D).
@@ -52,13 +49,6 @@ class TorusShape:
     @property
     def total_cells(self) -> int:
         return prod(self.dims)
-
-
-def wrap(shape: TorusShape, idx: Sequence[int]) -> CellIndex:
-    """Reduce a signed multi-index to its canonical cell, componentwise mod dims."""
-    if len(idx) != shape.ndim:
-        raise ValueError(f"index has {len(idx)} components, torus has {shape.ndim}")
-    return tuple(int(i) % d for i, d in zip(idx, shape.dims))
 
 
 def _exact_mass(values: np.ndarray) -> int:

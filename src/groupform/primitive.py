@@ -12,13 +12,13 @@ closed forms
     Q_2(p) = (5p^2 - 3p^3) / 8
     Q_3(p) = p^3 / 8
 
-normalized per cell over the whole torus. Q_1 + 2 Q_2 + 3 Q_3 = p holds
+normalized per cell over the whole torus; ``analytic_densities(p)``
+returns them as the tuple (Q_1, Q_2, Q_3). Q_1 + 2 Q_2 + 3 Q_3 = p holds
 identically (mass conservation in expectation).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -46,31 +46,14 @@ def binomial_mixture_density(r: int, p: float) -> float:
     return total / 2.0
 
 
-@dataclass(frozen=True)
-class PrimitiveDensities:
-    """The three closed-form densities evaluated at one p."""
-
-    p: float
-    q1: float
-    q2: float
-    q3: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.q1, self.q2, self.q3)
-
-    def expected_mass_density(self) -> float:
-        """q1 + 2 q2 + 3 q3; identically equal to p."""
-        return self.q1 + 2.0 * self.q2 + 3.0 * self.q3
-
-
-def analytic_densities(p: float) -> PrimitiveDensities:
-    """Evaluate the closed-form densities; p must lie in [0, 1]."""
+def analytic_densities(p: float) -> tuple[float, float, float]:
+    """The closed-form densities (Q_1, Q_2, Q_3) at p; p must lie in [0, 1]."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
     q1 = p * (8.0 + p * (-10.0 + 3.0 * p)) / 8.0
     q2 = p * p * (5.0 - 3.0 * p) / 8.0
     q3 = p**3 / 8.0
-    return PrimitiveDensities(p=p, q1=q1, q2=q2, q3=q3)
+    return q1, q2, q3
 
 
 def simulate_primitive(m: int, p: float, seed: int) -> GroupHistogram:

@@ -6,7 +6,11 @@ The statistical reproductions take a few minutes in total.
 
 import os
 
+import pytest
+
 from groupform import verify
+
+pytestmark = pytest.mark.acceptance
 
 WORKERS = min(2, os.cpu_count() or 1)
 

@@ -176,7 +176,11 @@ class TestSweep:
     def test_no_workers_is_usage_error(self, tmp_path, capsys):
         config = write_json(tmp_path / "config.json", self._config_payload())
         assert main(["sweep", config, "--out", str(tmp_path / "out"), "--threads", "0"]) == 2
-        assert "worker count" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+        assert "--threads" in captured.err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_json(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -201,10 +205,10 @@ class TestPrimitive:
         assert float(last["q2_analytic"]) == 0.25
         assert float(last["q3_analytic"]) == 0.125
         for row in rows:
-            expected = analytic_densities(float(row["p"]))
-            assert float(row["q1_analytic"]) == expected.q1
-            assert float(row["q2_analytic"]) == expected.q2
-            assert float(row["q3_analytic"]) == expected.q3
+            q1, q2, q3 = analytic_densities(float(row["p"]))
+            assert float(row["q1_analytic"]) == q1
+            assert float(row["q2_analytic"]) == q2
+            assert float(row["q3_analytic"]) == q3
             for column in ("q1_mc", "q2_mc", "q3_mc"):
                 assert 0.0 <= float(row[column]) <= 1.0
         manifest = json.loads((tmp_path / "primitive.csv.manifest.json").read_text())

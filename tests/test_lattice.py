@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from groupform import LatticeState, TorusShape, load_state, save_state, wrap
+from groupform import LatticeState, TorusShape, load_state, save_state
 
-from conftest import lattice_states, offsets_for, torus_shapes
+from conftest import lattice_states, offsets_for
 
 FIG_EXAMPLE = [0, 0, 1, 1, 2, 0, 0, 2, 1, 2, 0, 1, 1, 0]
 
@@ -23,28 +23,6 @@ class TestTorusShape:
     def test_invalid_dims_rejected(self, dims):
         with pytest.raises(ValueError):
             TorusShape(dims)
-
-
-class TestWrap:
-    def test_examples(self):
-        assert wrap(TorusShape((14,)), [-1]) == (13,)
-        assert wrap(TorusShape((14,)), [5]) == (5,)
-        assert wrap(TorusShape((5, 7)), [6, -2]) == (1, 5)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            wrap(TorusShape((5,)), [1, 2])
-        with pytest.raises(ValueError):
-            wrap(TorusShape((5, 7)), [1])
-
-    @given(torus_shapes(), st.data())
-    def test_idempotent_and_periodic(self, shape, data):
-        idx = tuple(data.draw(st.integers(-100, 100)) for _ in shape.dims)
-        wrapped = wrap(shape, idx)
-        assert wrap(shape, wrapped) == wrapped
-        assert all(0 <= w < d for w, d in zip(wrapped, shape.dims))
-        plus_period = tuple(i + d for i, d in zip(idx, shape.dims))
-        assert wrap(shape, plus_period) == wrapped
 
 
 class TestLatticeState:
@@ -121,7 +99,7 @@ class TestShift:
         offset = tuple(1 for _ in state.shape.dims)
         shifted = state.shift(offset)
         for m in np.ndindex(*state.shape.dims):
-            target = wrap(state.shape, tuple(i + o for i, o in zip(m, offset)))
+            target = tuple((i + o) % d for i, o, d in zip(m, offset, state.shape.dims))
             assert shifted.values[target] == state.values[m]
 
 
@@ -143,7 +121,7 @@ class TestReflect:
     def test_definition(self, state):
         reflected = state.reflect()
         for m in np.ndindex(*state.shape.dims):
-            source = wrap(state.shape, tuple(-i for i in m))
+            source = tuple(-i % d for i, d in zip(m, state.shape.dims))
             assert reflected.values[m] == state.values[source]
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from groupform import LatticeState, verify
+from groupform.dynamics import conserved_state
 
 N_STATES = 101
 
@@ -86,6 +87,17 @@ UNDER_ROLLED_STEP = {
     ),
 }
 
+# check name -> detail under ``_dropping_at_15``: the mass fault surfaces
+# as an OverflowError from ``conserved_state`` on the first 15-cell state.
+_LOST = "accumulation overflow: mass not conserved by step on "
+UNDER_DROPPING_STEP = {
+    "check_oracle_equivalence_1d": _LOST + "[3, 0, 2, 2, 2, 1, 2, 1, 0, 2, 2, 3, 0, 2, 3]",
+    "check_oracle_equivalence_2d": _LOST + "[[3, 2, 0], [1, 2, 0], [2, 0, 3], [0, 2, 0], [0, 0, 0]]",
+    "check_mass_conservation": _LOST + "[1, 1, 1, 0, 2, 0, 1, 3, 0, 3, 2, 2, 0, 3, 2]",
+    "check_translation_equivariance": _LOST + "[1, 3, 2, 0, 3, 1, 2, 0, 3, 0, 2, 3, 1, 1, 2]",
+    "check_reflection_equivariance": _LOST + "[3, 1, 0, 1, 3, 2, 3, 2, 3, 0, 2, 3, 2, 1, 0]",
+}
+
 _real_step = verify.step
 
 
@@ -102,6 +114,18 @@ def _rolled_at_15_in(ndim):
         return out
 
     return rolled
+
+
+def _dropping_at_15(state):
+    """A mass-losing step: on states of 15 cells, one element is taken from
+    the first occupied cell of the true result, which ``conserved_state``
+    turns into an ``OverflowError``."""
+    out = _real_step(state)
+    if state.values.size != 15:
+        return out
+    values = out.values.copy()
+    values.flat[np.flatnonzero(values)[0]] -= 1
+    return conserved_state(state, values)
 
 
 @pytest.mark.parametrize("name", sorted(DRAWN))
@@ -137,3 +161,23 @@ def test_primitive_convergence_detail():
     assert result.detail == (
         "max |empirical - closed form| = 0.02113 at r=2 p=0.9 (m=100, 5 seeds, tolerance 0.005)"
     )
+
+
+def test_mass_fault_is_a_failure(monkeypatch):
+    monkeypatch.setattr(verify, "step", _dropping_at_15)
+    for name in DRAWN:
+        result = getattr(verify, name)(n_states=N_STATES)
+        assert (result.passed, result.detail) == (False, UNDER_DROPPING_STEP[name]), name
+
+
+def test_wrong_first_step_fails_worked_examples(monkeypatch):
+    def rolled_at_5(state):
+        out = _real_step(state)
+        if out.values.size == 5:
+            return LatticeState(state.shape, np.roll(out.values, 1))
+        return out
+
+    monkeypatch.setattr(verify, "step", rolled_at_5)
+    result = verify.check_worked_examples()
+    assert not result.passed
+    assert result.detail.startswith("two adjacent groups: wrong first step")
