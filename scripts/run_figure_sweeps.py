@@ -104,6 +104,8 @@ def main():
     )
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     args = parser.parse_args()
+    if args.threads < 1:
+        parser.error(f"--threads must be >= 1, got {args.threads}")
 
     scale = FULL if args.scale == "full" else DEMO
     os.makedirs(args.out, exist_ok=True)

@@ -10,7 +10,7 @@ its closed forms.
 __version__ = "0.1.0"
 
 from .dynamics import step, step_oracle
-from .lattice import LatticeState, TorusShape, load_state, save_state
+from .lattice import LatticeState, TorusShape, load_state
 from .montecarlo import (
     GroupHistogram,
     GridPointStats,
@@ -25,13 +25,7 @@ from .montecarlo import (
     sample_grid_point,
 )
 from .primitive import analytic_densities, simulate_primitive
-from .steady import (
-    OutcomeKind,
-    TrajectoryOutcome,
-    default_max_steps,
-    evolve,
-    trajectory,
-)
+from .steady import OutcomeKind, TrajectoryOutcome, default_max_steps, evolve
 
 __all__ = [
     "GroupHistogram",
@@ -53,9 +47,7 @@ __all__ = [
     "run_sample",
     "run_sweep",
     "sample_grid_point",
-    "save_state",
     "simulate_primitive",
     "step",
     "step_oracle",
-    "trajectory",
 ]

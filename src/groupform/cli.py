@@ -20,10 +20,11 @@ import time
 from contextlib import nullcontext
 
 from . import __version__
+from .dynamics import step
 from .lattice import TorusShape, load_state
 from .montecarlo import TAIL_MIN_SIZE, SweepConfig, bernoulli_state, run_sweep
 from .primitive import analytic_densities, replica_densities
-from .steady import OutcomeKind, default_max_steps, evolve, trajectory
+from .steady import OutcomeKind, default_max_steps, evolve
 from .verify import full_checks, quick_checks
 
 EXIT_OK = 0
@@ -80,6 +81,10 @@ def _open_out(path: str):
 # simulate
 
 
+def _json_line(record: dict) -> str:
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
 def _outcome_record(outcome) -> dict:
     return {
         "kind": outcome.kind.value,
@@ -93,6 +98,8 @@ def _outcome_record(outcome) -> dict:
 
 
 def cmd_simulate(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.state is not None:
         if args.dims or args.p is not None:
             raise ValueError("give either --state or --dims/--p/--seed, not both")
@@ -112,12 +119,15 @@ def cmd_simulate(args) -> int:
     outcome = evolve(initial, max_steps)
     # a periodic outcome's steps_taken is entry_time + period
     dump_until = outcome.n_st if outcome.kind is OutcomeKind.FIXED else outcome.steps_taken
-    states = trajectory(initial, dump_until)
 
+    # T(0) .. T(dump_until) are written as they are stepped, one state held at a time
     with _open_out(args.out) as out:
-        for state in states:
-            out.write(json.dumps(state.to_json_dict(), separators=(",", ":")) + "\n")
-        out.write(json.dumps(_outcome_record(outcome), separators=(",", ":")) + "\n")
+        state = initial
+        out.write(_json_line(state.to_json_dict()))
+        for _ in range(dump_until):
+            state = step(state)
+            out.write(_json_line(state.to_json_dict()))
+        out.write(_json_line(_outcome_record(outcome)))
     duration = time.perf_counter() - start
 
     if outcome.kind is OutcomeKind.UNRESOLVED:
@@ -238,8 +248,8 @@ def write_primitive_csv(out, m: int, p_max: float, p_steps: int, seeds: int, mas
 
 
 def cmd_primitive(args) -> int:
-    if args.m % 2 != 0:
-        raise ValueError(f"--m must be even, got {args.m}")
+    if args.m % 2 != 0 or args.m < 4:
+        raise ValueError(f"--m must be even and >= 4, got {args.m}")
     if args.p_steps < 1:
         raise ValueError("--p-steps must be >= 1")
     if not 0.0 <= args.p_max <= 1.0:

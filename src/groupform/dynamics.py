@@ -38,8 +38,8 @@ def tick_kernel(shape: TorusShape) -> Tick:
     T(n+1) and never writes to its argument. Neighbour, coordinate and
     wrap tables are built on the first call for each shape and never
     written to afterwards, and the returned tick is pure, so one tick per
-    shape is cached and shared by every ``step``, ``evolve`` and
-    ``trajectory`` call in the process. A tick touches only the occupied
+    shape is cached and shared by every ``step`` and ``evolve``
+    call in the process. A tick touches only the occupied
     cells: it gathers their two neighbours per axis, reduces each
     displacement modulo the axis length before forming the target (so
     occupancies near 2**63 never wrap), and merges colliding groups with

@@ -91,10 +91,6 @@ class LatticeState:
         self.values = arr
         self._mass = _exact_mass(arr)
 
-    @classmethod
-    def zeros(cls, shape: TorusShape) -> "LatticeState":
-        return cls(shape, np.zeros(shape.dims, dtype=np.int64))
-
     def total_mass(self) -> int:
         """Sum of all occupancies; invariant under the dynamics."""
         return self._mass
@@ -146,12 +142,6 @@ class LatticeState:
             return cls(shape, np.asarray(values, dtype=np.int64))
         except OverflowError as exc:
             raise ValueError(str(exc)) from exc
-
-
-def save_state(state: LatticeState, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state.to_json_dict(), fh)
-        fh.write("\n")
 
 
 def load_state(path) -> LatticeState:

@@ -67,9 +67,6 @@ class GroupHistogram:
         """Q_r: fraction of all cells occupied by an r-element group."""
         return self.counts.get(r, 0) / self.total_cells
 
-    def mass(self) -> int:
-        return sum(r * c for r, c in self.counts.items())
-
     def tail_count(self) -> int:
         return sum(c for r, c in self.counts.items() if r >= TAIL_MIN_SIZE)
 
@@ -261,7 +258,6 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepResult:
-    config: SweepConfig
     points: list[GridPointStats]
 
 
@@ -341,4 +337,4 @@ def run_sweep(
             points.append(stats)
             if progress is not None:
                 progress(i, p, stats)
-    return SweepResult(config=config, points=points)
+    return SweepResult(points=points)

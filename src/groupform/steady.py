@@ -129,16 +129,3 @@ def evolve(initial: LatticeState, max_steps: int | None = None) -> TrajectoryOut
         steady_state=conserved_state(initial, saved),
         steps_taken=max_steps,
     )
-
-
-def trajectory(initial: LatticeState, n: int) -> list[LatticeState]:
-    """The first n+1 states T(0), T(1), ..., T(n)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    tick = tick_kernel(initial.shape)
-    states = [initial]
-    cur = initial.values.reshape(-1)
-    for _ in range(n):
-        cur = tick(cur)
-        states.append(conserved_state(initial, cur))
-    return states

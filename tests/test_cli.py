@@ -1,11 +1,15 @@
 import csv
+import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from groupform import LatticeState, TorusShape, analytic_densities, save_state
+from groupform import LatticeState, TorusShape, analytic_densities
 from groupform.cli import main
 from groupform.verify import CheckResult
 
@@ -20,7 +24,7 @@ def write_json(path, payload):
 class TestSimulate:
     def test_state_file_trajectory(self, tmp_path, capsys):
         state_path = tmp_path / "initial.json"
-        save_state(LatticeState(TorusShape((14,)), FIG_EXAMPLE), state_path)
+        write_json(state_path, LatticeState(TorusShape((14,)), FIG_EXAMPLE).to_json_dict())
         out_path = tmp_path / "trajectory.jsonl"
         code = main(["simulate", "--state", str(state_path), "--out", str(out_path)])
         assert code == 0
@@ -41,7 +45,7 @@ class TestSimulate:
 
     def test_periodic_state_flagged(self, tmp_path):
         state_path = tmp_path / "cycle.json"
-        save_state(LatticeState(TorusShape((5,)), [1, 1, 1, 0, 0]), state_path)
+        write_json(state_path, LatticeState(TorusShape((5,)), [1, 1, 1, 0, 0]).to_json_dict())
         out_path = tmp_path / "cycle.jsonl"
         code = main(["simulate", "--state", str(state_path), "--out", str(out_path)])
         assert code == 0
@@ -60,7 +64,7 @@ class TestSimulate:
 
     def test_unresolved_warns_but_succeeds(self, tmp_path, capsys):
         state_path = tmp_path / "cycle.json"
-        save_state(LatticeState(TorusShape((5,)), [1, 1, 1, 0, 0]), state_path)
+        write_json(state_path, LatticeState(TorusShape((5,)), [1, 1, 1, 0, 0]).to_json_dict())
         code = main(["simulate", "--state", str(state_path), "--max-steps", "1", "--out", "-"])
         assert code == 0
         captured = capsys.readouterr()
@@ -75,7 +79,7 @@ class TestSimulate:
 
     def test_conflicting_sources_is_usage_error(self, tmp_path, capsys):
         state_path = tmp_path / "s.json"
-        save_state(LatticeState(TorusShape((5,)), [1, 0, 0, 0, 0]), state_path)
+        write_json(state_path, LatticeState(TorusShape((5,)), [1, 0, 0, 0, 0]).to_json_dict())
         assert main(["simulate", "--state", str(state_path), "--dims", "5", "--p", "0.5"]) == 2
 
     def test_invalid_state_file_is_usage_error(self, tmp_path, capsys):
@@ -97,6 +101,54 @@ class TestSimulate:
         assert main(["simulate", "--state", str(tmp_path / "missing.json")]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert main(["simulate", "--dims", "5", "--p", "0.5", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+        assert "--seed" in captured.err
+
+    # recorded before simulate streamed its states through step
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            (
+                FIG_EXAMPLE,
+                '{"dims":[14],"values":[0,0,1,1,2,0,0,2,1,2,0,1,1,0]}\n'
+                '{"dims":[14],"values":[0,1,1,0,0,2,2,0,1,0,3,0,0,1]}\n'
+                '{"dims":[14],"values":[1,0,0,3,0,0,0,0,3,0,3,0,0,1]}\n'
+                '{"dims":[14],"values":[0,1,0,3,0,0,0,0,3,0,3,0,1,0]}\n'
+                '{"kind":"fixed","steps_taken":4,"n_st":3,"entry_time":null,"period":null,"mass":11,'
+                '"steady_state":{"dims":[14],"values":[0,1,0,3,0,0,0,0,3,0,3,0,1,0]}}\n',
+            ),
+            (
+                [1, 1, 1, 0, 0],
+                '{"dims":[5],"values":[1,1,1,0,0]}\n'
+                '{"dims":[5],"values":[0,1,0,1,1]}\n'
+                '{"dims":[5],"values":[1,1,1,0,0]}\n'
+                '{"kind":"periodic","steps_taken":2,"n_st":null,"entry_time":0,"period":2,"mass":3,'
+                '"steady_state":{"dims":[5],"values":[1,1,1,0,0]}}\n',
+            ),
+        ],
+        ids=["fixed", "periodic"],
+    )
+    def test_pinned_stdout_bytes(self, tmp_path, capsys, values, expected):
+        state_path = write_json(tmp_path / "initial.json", {"dims": [len(values)], "values": values})
+        assert main(["simulate", "--state", state_path]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == expected
+        assert captured.err == ""
+
+    def test_pinned_unresolved_stdout_digest(self, capsys):
+        args = ["simulate", "--dims", "12,12", "--p", "0.9", "--seed", "3", "--max-steps", "5"]
+        assert main(args) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 7  # T(0) .. T(5), then the outcome
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+            "e150b522861eef197782d4bb8f8e233653fcced6eb12dbbd775299a9465b293c"
+        )
+        assert captured.err == "warning: no steady state or cycle within 5 steps\n"
+
 
 class TestSweep:
     def _config_payload(self, **overrides):
@@ -115,7 +167,8 @@ class TestSweep:
         out_dir = tmp_path / "out"
         code = main(["sweep", config, "--out", str(out_dir), "--threads", "1"])
         assert code == 0
-        rows = list(csv.reader((out_dir / "sweep.csv").open()))
+        with (out_dir / "sweep.csv").open() as fh:
+            rows = list(csv.reader(fh))
         header, body = rows[0], rows[1:]
         assert header == [
             "p",
@@ -195,7 +248,8 @@ class TestPrimitive:
             ["primitive", "--m", "50", "--p-steps", "4", "--seeds", "3", "--out", str(out)]
         )
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 5
         first, last = rows[0], rows[-1]
         assert float(first["p"]) == 0.0
@@ -217,6 +271,17 @@ class TestPrimitive:
     def test_odd_m_is_usage_error(self, capsys):
         assert main(["primitive", "--m", "9"]) == 2
         assert "even" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m", ["2", "0", "-2"])
+    def test_too_small_m_is_usage_error(self, m, tmp_path, capsys):
+        out = tmp_path / "primitive.csv"
+        for target in ("-", str(out)):
+            assert main(["primitive", "--m", m, "--p-steps", "1", "--seeds", "1", "--out", target]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+            assert "--m" in captured.err
+        assert not out.exists()
 
     @pytest.mark.parametrize("seeds", ["0", "-1"])
     def test_no_replicas_is_usage_error(self, seeds, capsys):
@@ -248,16 +313,35 @@ class TestPrimitive:
         )
 
 
+FIGURE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_figure_sweeps.py"
+
+
 class TestFigureScript:
     def test_onestep_table_matches_primitive_command(self, tmp_path):
-        path = Path(__file__).resolve().parents[1] / "scripts" / "run_figure_sweeps.py"
-        spec = importlib.util.spec_from_file_location("run_figure_sweeps", path)
+        spec = importlib.util.spec_from_file_location("run_figure_sweeps", FIGURE_SCRIPT)
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
         script.onestep_table(str(tmp_path / "onestep.csv"), seeds=2)
         args = ["primitive", "--m", "10000", "--p-max", "1.0", "--p-steps", "100", "--seeds", "2"]
         assert main(args + ["--seed", "20260810", "--out", str(tmp_path / "cli.csv")]) == 0
         assert (tmp_path / "onestep.csv").read_bytes() == (tmp_path / "cli.csv").read_bytes()
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_no_workers_is_usage_error(self, threads, tmp_path):
+        pythonpath = [str(FIGURE_SCRIPT.parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+        out = tmp_path / "results"
+        run = subprocess.run(
+            [sys.executable, str(FIGURE_SCRIPT), "--out", str(out), "--threads", threads],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert "--threads" in run.stderr.splitlines()[-1]
+        assert not out.exists()
 
 
 class TestVerify:

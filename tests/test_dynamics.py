@@ -23,9 +23,9 @@ class TestStepExamples:
         assert step_oracle(before) == after
 
     def test_empty_is_fixed(self):
-        empty = LatticeState.zeros(TorusShape((6,)))
+        empty = LatticeState(TorusShape((6,)), np.zeros(6, dtype=np.int64))
         assert step(empty) == empty
-        empty2d = LatticeState.zeros(TorusShape((3, 5)))
+        empty2d = LatticeState(TorusShape((3, 5)), np.zeros((3, 5), dtype=np.int64))
         assert step(empty2d) == empty2d
 
     def test_displacement_larger_than_torus_wraps(self):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,7 +11,6 @@ from groupform import (
     evolve,
     step,
     step_oracle,
-    trajectory,
 )
 
 from conftest import lattice_states
@@ -84,7 +84,7 @@ class TestEvolveExamples:
 
     def test_max_steps_validation(self):
         with pytest.raises(ValueError):
-            evolve(LatticeState.zeros(TorusShape((5,))), max_steps=0)
+            evolve(LatticeState(TorusShape((5,)), np.zeros(5, dtype=np.int64)), max_steps=0)
 
     def test_default_cap(self):
         assert default_max_steps(TorusShape((3000,))) == 300_000
@@ -92,30 +92,24 @@ class TestEvolveExamples:
 
 
 class TestTrajectory:
-    def test_zero_steps(self):
-        state = LatticeState(TorusShape((5,)), [1, 1, 0, 0, 0])
-        assert trajectory(state, 0) == [state]
-
     def test_cycle_trajectory(self):
         z5 = TorusShape((5,))
-        states = trajectory(LatticeState(z5, [1, 1, 1, 0, 0]), 2)
-        assert states == [
-            LatticeState(z5, [1, 1, 1, 0, 0]),
-            LatticeState(z5, [0, 1, 0, 1, 1]),
-            LatticeState(z5, [1, 1, 1, 0, 0]),
-        ]
+        start = LatticeState(z5, [1, 1, 1, 0, 0])
+        assert step(start) == LatticeState(z5, [0, 1, 0, 1, 1])
+        assert step(step(start)) == start
 
     def test_empty_state(self):
-        empty = LatticeState.zeros(TorusShape((4, 4)))
-        assert trajectory(empty, 3) == [empty] * 4
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            trajectory(LatticeState.zeros(TorusShape((4,))), -1)
+        empty = LatticeState(TorusShape((4, 4)), np.zeros((4, 4), dtype=np.int64))
+        state = empty
+        for _ in range(3):
+            state = step(state)
+            assert state == empty
 
     @given(lattice_states())
     def test_mass_constant_along_trajectory(self, state):
-        for visited in trajectory(state, 8):
+        visited = state
+        for _ in range(8):
+            visited = step(visited)
             assert visited.total_mass() == state.total_mass()
 
 
@@ -129,19 +123,22 @@ class TestOutcomeInvariants:
             assert step(outcome.steady_state) == outcome.steady_state
             assert outcome.n_st is not None
             assert outcome.steps_taken == outcome.n_st + 1
-            replay = trajectory(state, outcome.n_st)
+            previous, replay = None, state
+            for _ in range(outcome.n_st):
+                previous, replay = replay, step(replay)
             if outcome.n_st > 0:
-                assert replay[-1] != replay[-2]
-            assert replay[-1] == outcome.steady_state
+                assert replay != previous
+            assert replay == outcome.steady_state
         elif outcome.kind is OutcomeKind.PERIODIC:
             period = outcome.period
             assert period >= 2
-            cycle = trajectory(outcome.steady_state, period)
-            assert cycle[-1] == outcome.steady_state
+            visited = outcome.steady_state
             # minimality: no proper divisor of the period closes the loop
             for d in range(1, period):
+                visited = step(visited)
                 if period % d == 0:
-                    assert cycle[d] != outcome.steady_state
+                    assert visited != outcome.steady_state
+            assert step(visited) == outcome.steady_state
             assert outcome.steps_taken == outcome.entry_time + period
         else:
             assert outcome.steps_taken == 200
