@@ -21,7 +21,7 @@ import sys
 import time
 
 from groupform import SweepConfig, TorusShape, run_sweep, sample_grid_point
-from groupform.cli import fmt, write_primitive_csv, write_sweep_csv
+from groupform.cli import at_least, write_primitive_csv, write_sweep_csv
 
 MASTER_SEED = 20260810
 
@@ -64,9 +64,7 @@ def relaxation_curves(out_path, sizes, samples, threads):
                 stats = sample_grid_point(
                     TorusShape((m,)), p, samples, MASTER_SEED, workers=threads
                 )
-                writer.writerow(
-                    [fmt(p), m, fmt(stats.mean_n_st()), stats.fixed_count, stats.samples]
-                )
+                writer.writerow([p, m, stats.mean_n_st(), stats.fixed_count, stats.samples])
                 log(f"  relaxation p={p} M={m}: mean n_st={stats.mean_n_st():.1f}")
     log(f"wrote {out_path}")
 
@@ -88,7 +86,7 @@ def dense_2d_histograms(out_path, samples, threads):
                 grid_index=grid_index, workers=threads,
             )
             for r in sorted(stats.count_sums):
-                writer.writerow([fmt(p), r, fmt(stats.mean_q(r))])
+                writer.writerow([p, r, stats.mean_q(r)])
             log(f"  dense 2D p={p}: sizes up to {max(stats.count_sums, default=0)}")
     log(f"wrote {out_path}")
 
@@ -102,10 +100,8 @@ def main():
         choices=("all", "density1d", "relaxation", "onestep", "density2d", "dense2d"),
         default="all",
     )
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--threads", type=at_least(1), default=os.cpu_count() or 1)
     args = parser.parse_args()
-    if args.threads < 1:
-        parser.error(f"--threads must be >= 1, got {args.threads}")
 
     scale = FULL if args.scale == "full" else DEMO
     os.makedirs(args.out, exist_ok=True)

@@ -2,8 +2,10 @@
 
 Data goes to files or standard output; progress goes to standard error,
 so outputs are pipeline-safe. Exit codes: 0 success, 1 verification or
-property failure, 2 usage/config error. CSV numbers use the shortest
-round-trip decimal representation, so outputs are byte-stable.
+property failure, 2 usage/config error. Every flag value is checked by
+its argparse type at parse time, so a bad one is a one-line usage error
+before any output exists. ``csv`` writes each float as its shortest
+round-trip decimal, so outputs are byte-stable.
 
 Every file-producing command writes a manifest JSON next to its output
 with everything needed to reproduce the file exactly.
@@ -18,10 +20,11 @@ import os
 import sys
 import time
 from contextlib import nullcontext
+from functools import partial
 
 from . import __version__
 from .dynamics import step
-from .lattice import TorusShape, load_state
+from .lattice import TorusShape, load_state, read_json
 from .montecarlo import TAIL_MIN_SIZE, SweepConfig, bernoulli_state, run_sweep
 from .primitive import analytic_densities, replica_densities
 from .steady import OutcomeKind, default_max_steps, evolve
@@ -32,11 +35,41 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def fmt(x) -> str:
-    """Shortest round-trip decimal for floats; plain str otherwise."""
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return integer
+
+
+def probability(text: str) -> float:
+    """argparse type: a float in [0, 1]."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
+    return value
+
+
+def even_size(text: str) -> int:
+    """argparse type: an even integer of at least 4 (a primitive-model torus)."""
+    value = int(text)
+    if value % 2 != 0 or value < 4:
+        raise argparse.ArgumentTypeError(f"must be even and >= 4, got {value}")
+    return value
+
+
+def torus_shape(text: str) -> TorusShape:
+    """argparse type: comma-separated torus dims such as 3000 or 200,200."""
+    dims = tuple(int(part) for part in text.split(","))
+    try:
+        return TorusShape(dims)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def write_manifest(
@@ -61,14 +94,6 @@ def write_manifest(
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
-
-
-def _parse_dims(text: str) -> TorusShape:
-    try:
-        dims = tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"--dims must be comma-separated integers, got '{text}'") from exc
-    return TorusShape(dims)
 
 
 def _open_out(path: str):
@@ -98,19 +123,17 @@ def _outcome_record(outcome) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.state is not None:
-        if args.dims or args.p is not None:
+        if args.dims is not None or args.p is not None or args.seed is not None:
             raise ValueError("give either --state or --dims/--p/--seed, not both")
         initial = load_state(args.state)
         parameters = {"state_file": args.state}
-    elif args.dims:
+    elif args.dims is not None:
         if args.p is None:
             raise ValueError("--dims requires --p (and optionally --seed)")
-        shape = _parse_dims(args.dims)
-        initial = bernoulli_state(shape, args.p, args.seed)
-        parameters = {"dims": list(shape.dims), "p": args.p, "seed": args.seed}
+        seed = 0 if args.seed is None else args.seed
+        initial = bernoulli_state(args.dims, args.p, seed)
+        parameters = {"dims": list(args.dims.dims), "p": args.p, "seed": seed}
     else:
         raise ValueError("give an initial state: --state FILE or --dims DIMS --p P")
 
@@ -138,7 +161,7 @@ def cmd_simulate(args) -> int:
             args.out + ".manifest.json",
             "simulate",
             parameters,
-            args.seed if args.state is None else None,
+            parameters.get("seed"),
             [args.out],
             duration,
             initial_state=initial.to_json_dict(),
@@ -168,36 +191,16 @@ def write_sweep_csv(result, path: str) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_COLUMNS)
         for stats in result.points:
-            p = fmt(stats.p)
-            writer.writerow(
-                [
-                    p,
-                    0,
-                    "",
-                    "",
-                    fmt(stats.mean_n_st()),
-                    stats.fixed_count,
-                    stats.periodic_count,
-                    stats.unresolved_count,
-                    stats.samples,
-                ]
-            )
+            p = stats.p
+            counts = [stats.fixed_count, stats.periodic_count, stats.unresolved_count, stats.samples]
+            writer.writerow([p, 0, "", "", stats.mean_n_st(), *counts])
             for r in range(1, TAIL_MIN_SIZE):
-                writer.writerow([p, r, fmt(stats.mean_q(r)), fmt(stats.stderr_q(r)), "", "", "", "", ""])
-            writer.writerow(
-                [p, "tail", fmt(stats.mean_tail_q()), fmt(stats.stderr_tail_q()), "", "", "", "", ""]
-            )
+                writer.writerow([p, r, stats.mean_q(r), stats.stderr_q(r), "", "", "", "", ""])
+            writer.writerow([p, "tail", stats.mean_tail_q(), stats.stderr_tail_q(), "", "", "", "", ""])
 
 
 def cmd_sweep(args) -> int:
-    if args.threads < 1:
-        raise ValueError("--threads must be >= 1")
-    with open(args.config, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{args.config}: not valid JSON ({exc})") from exc
-    config = SweepConfig.from_json_dict(data)
+    config = SweepConfig.from_json_dict(read_json(args.config))
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "sweep.csv")
     manifest_path = os.path.join(args.out, "manifest.json")
@@ -244,19 +247,10 @@ def write_primitive_csv(out, m: int, p_max: float, p_steps: int, seeds: int, mas
     for i in range(p_steps + 1):
         p = i * p_max / p_steps
         means, errors = replica_densities(m, p, i, seeds, master_seed)
-        writer.writerow([fmt(x) for x in (p, *analytic_densities(p), *means, *errors)])
+        writer.writerow([p, *analytic_densities(p), *means, *errors])
 
 
 def cmd_primitive(args) -> int:
-    if args.m % 2 != 0 or args.m < 4:
-        raise ValueError(f"--m must be even and >= 4, got {args.m}")
-    if args.p_steps < 1:
-        raise ValueError("--p-steps must be >= 1")
-    if not 0.0 <= args.p_max <= 1.0:
-        raise ValueError(f"--p-max must be in [0, 1], got {args.p_max}")
-    if args.seeds < 1:
-        raise ValueError("--seeds must be >= 1")
-
     start = time.perf_counter()
     with _open_out(args.out) as out:
         write_primitive_csv(out, args.m, args.p_max, args.p_steps, args.seeds, args.seed)
@@ -279,8 +273,6 @@ def cmd_primitive(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.threads < 1:
-        raise ValueError("--threads must be >= 1")
     checks = full_checks(workers=args.threads) if args.scale == "full" else quick_checks()
     failed = [c for c in checks if not c.passed]
     for check in checks:
@@ -299,49 +291,52 @@ def build_parser() -> argparse.ArgumentParser:
         prog="groupform",
         description="Group-formation dynamics on discrete tori: evolve states, "
         "sweep densities, validate the one-step model, verify invariants.",
+        exit_on_error=False,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
+    add_command = partial(sub.add_parser, exit_on_error=False)
+    workers = {"type": at_least(1), "default": os.cpu_count() or 1}
 
-    sim = sub.add_parser("simulate", help="evolve one initial state and dump the trajectory")
+    sim = add_command("simulate", help="evolve one initial state and dump the trajectory")
     sim.add_argument("--state", help="JSON state file: {\"dims\": [...], \"values\": [...]}")
-    sim.add_argument("--dims", help="torus dims for a random state, e.g. 3000 or 200,200")
-    sim.add_argument("--p", type=float, help="one-element-group density for a random state")
-    sim.add_argument("--seed", type=int, default=0, help="seed for the random state (default 0)")
-    sim.add_argument("--max-steps", type=int, help="iteration cap (default 100 * max dim)")
+    sim.add_argument("--dims", type=torus_shape, help="torus dims for a random state, e.g. 3000 or 200,200")
+    sim.add_argument("--p", type=probability, help="one-element-group density for a random state")
+    sim.add_argument("--seed", type=at_least(0), help="seed for the random state (default 0)")
+    sim.add_argument("--max-steps", type=at_least(1), help="iteration cap (default 100 * max dim)")
     sim.add_argument("--out", default="-", help="output JSONL path, or - for stdout (default)")
     sim.set_defaults(func=cmd_simulate)
 
-    swe = sub.add_parser("sweep", help="Monte Carlo p-grid sweep from a JSON config")
+    swe = add_command("sweep", help="Monte Carlo p-grid sweep from a JSON config")
     swe.add_argument("config", help="JSON config: dims, p_max, p_steps, samples, master_seed[, max_steps]")
     swe.add_argument("--out", required=True, help="output directory for sweep.csv and manifest.json")
-    swe.add_argument("--threads", type=int, default=os.cpu_count() or 1, help="worker processes")
+    swe.add_argument("--threads", **workers, help="worker processes")
     swe.set_defaults(func=cmd_sweep)
 
-    pri = sub.add_parser("primitive", help="one-step model: closed forms vs Monte Carlo")
-    pri.add_argument("--m", type=int, default=10_000, help="even torus size (default 10000)")
-    pri.add_argument("--p-max", type=float, default=1.0, help="top of the p grid (default 1.0)")
-    pri.add_argument("--p-steps", type=int, default=100, help="number of grid steps (default 100)")
-    pri.add_argument("--seeds", type=int, default=100, help="Monte Carlo replicas per p (default 100)")
+    pri = add_command("primitive", help="one-step model: closed forms vs Monte Carlo")
+    pri.add_argument("--m", type=even_size, default=10_000, help="even torus size (default 10000)")
+    pri.add_argument("--p-max", type=probability, default=1.0, help="top of the p grid (default 1.0)")
+    pri.add_argument("--p-steps", type=at_least(1), default=100, help="number of grid steps (default 100)")
+    pri.add_argument(
+        "--seeds", type=at_least(1), default=100, help="Monte Carlo replicas per p (default 100)"
+    )
     pri.add_argument("--seed", type=int, default=0, help="master seed for the replicas (default 0)")
     pri.add_argument("--out", default="-", help="output CSV path, or - for stdout (default)")
     pri.set_defaults(func=cmd_primitive)
 
-    ver = sub.add_parser("verify", help="run the named invariant and reproduction checks")
+    ver = add_command("verify", help="run the named invariant and reproduction checks")
     ver.add_argument("--scale", choices=("quick", "full"), default="quick")
-    ver.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1, help="worker processes for the full-scale checks"
-    )
+    ver.add_argument("--threads", **workers, help="worker processes for the full-scale checks")
     ver.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (argparse.ArgumentError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -144,10 +144,14 @@ class LatticeState:
             raise ValueError(str(exc)) from exc
 
 
-def load_state(path) -> LatticeState:
+def read_json(path):
+    """Parse a JSON file; malformed JSON is a ValueError naming the file."""
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    return LatticeState.from_json_dict(data)
+
+
+def load_state(path) -> LatticeState:
+    return LatticeState.from_json_dict(read_json(path))

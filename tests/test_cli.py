@@ -101,6 +101,40 @@ class TestSimulate:
         assert main(["simulate", "--state", str(tmp_path / "missing.json")]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_seed_with_state_file_is_usage_error(self, tmp_path, capsys):
+        state_path = write_json(tmp_path / "z5.json", {"dims": [5], "values": [1, 1, 1, 0, 0]})
+        assert main(["simulate", "--state", state_path, "--seed", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: give either --state or --dims/--p/--seed, not both\n"
+
+    def test_random_state_defaults_to_seed_zero(self, tmp_path):
+        args = ["simulate", "--dims", "12", "--p", "0.5"]
+        assert main(args + ["--out", str(tmp_path / "default.jsonl")]) == 0
+        assert main(args + ["--seed", "0", "--out", str(tmp_path / "zero.jsonl")]) == 0
+        default = (tmp_path / "default.jsonl").read_bytes()
+        assert default == (tmp_path / "zero.jsonl").read_bytes()
+        manifest = json.loads((tmp_path / "default.jsonl.manifest.json").read_text())
+        assert manifest["master_seed"] == 0 and manifest["parameters"]["seed"] == 0
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--p", "1.5"], "--p"),
+            (["--p", "0.5", "--max-steps", "0"], "--max-steps"),
+            (["--p", "0.5", "--max-steps", "-3"], "--max-steps"),
+        ],
+        ids=["p", "max-steps-0", "max-steps-neg"],
+    )
+    def test_out_of_range_flag_is_usage_error(self, flags, named, tmp_path, capsys):
+        out = tmp_path / "trajectory.jsonl"
+        assert main(["simulate", "--dims", "5", *flags, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: argument {named}:")
+        assert not out.exists()
+        assert not (tmp_path / "trajectory.jsonl.manifest.json").exists()
+
     def test_negative_seed_is_usage_error(self, capsys):
         assert main(["simulate", "--dims", "5", "--p", "0.5", "--seed", "-1"]) == 2
         captured = capsys.readouterr()
@@ -316,15 +350,45 @@ class TestPrimitive:
 FIGURE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_figure_sweeps.py"
 
 
+@pytest.fixture
+def script():
+    spec = importlib.util.spec_from_file_location("run_figure_sweeps", FIGURE_SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestFigureScript:
-    def test_onestep_table_matches_primitive_command(self, tmp_path):
-        spec = importlib.util.spec_from_file_location("run_figure_sweeps", FIGURE_SCRIPT)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
+    def test_onestep_table_matches_primitive_command(self, script, tmp_path):
         script.onestep_table(str(tmp_path / "onestep.csv"), seeds=2)
         args = ["primitive", "--m", "10000", "--p-max", "1.0", "--p-steps", "100", "--seeds", "2"]
         assert main(args + ["--seed", "20260810", "--out", str(tmp_path / "cli.csv")]) == 0
         assert (tmp_path / "onestep.csv").read_bytes() == (tmp_path / "cli.csv").read_bytes()
+
+    # recorded before the CSV writers stopped formatting floats themselves
+    def test_pinned_relaxation_curves(self, script, tmp_path):
+        path = tmp_path / "relaxation.csv"
+        script.relaxation_curves(str(path), sizes=(30, 60), samples=3, threads=1)
+        assert path.read_text() == (
+            "p,m,mean_n_st,settled,samples\n"
+            "0.35,30,2.3333333333333335,3,3\n"
+            "0.35,60,7.333333333333333,3,3\n"
+            "0.6,30,9.0,3,3\n"
+            "0.6,60,12.0,3,3\n"
+            "0.85,30,26.0,1,3\n"
+            "0.85,60,29.0,2,3\n"
+        )
+
+    def test_pinned_dense_2d_histograms(self, script, tmp_path):
+        path = tmp_path / "dense.csv"
+        script.dense_2d_histograms(str(path), samples=2, threads=1)
+        lines = path.read_text().splitlines()
+        assert lines[:3] == ["p,r,mean_Q", "0.9,1,0.018175", "0.9,2,0.0151"]
+        assert "0.9,34,8.75e-05" in lines and lines[-1] == "0.99,61,1.25e-05"
+        assert len(lines) == 100
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "c53e7f5e4e19147a05fe81262d5fed4a3251642b6404707a44696406254ad37b"
+        )
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_no_workers_is_usage_error(self, threads, tmp_path):
@@ -342,6 +406,33 @@ class TestFigureScript:
         assert run.stdout == ""
         assert "--threads" in run.stderr.splitlines()[-1]
         assert not out.exists()
+
+
+def run_cli(*args):
+    """Run ``python -m groupform.cli`` in a fresh interpreter with src on the path."""
+    pythonpath = [str(FIGURE_SCRIPT.parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+    command = [sys.executable, "-m", "groupform.cli", *args]
+    return subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+
+
+class TestProcess:
+    def test_bad_flag_exits_2_before_any_output(self, tmp_path):
+        payload = {"dims": [24], "p_max": 0.5, "p_steps": 2, "samples": 6, "master_seed": 321}
+        config = write_json(tmp_path / "cfg.json", payload)
+        out = tmp_path / "d"
+        run = run_cli("sweep", config, "--out", str(out), "--threads", "0")
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert run.stderr == "error: argument --threads: must be >= 1, got 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", [[], ["simulate"], ["sweep"], ["primitive"], ["verify"]])
+    def test_help_exits_0(self, verb):
+        run = run_cli(*verb, "--help")
+        assert run.returncode == 0
+        assert run.stdout.startswith("usage: groupform")
+        assert run.stderr == ""
 
 
 class TestVerify:
@@ -371,6 +462,8 @@ class TestVerify:
         assert "--threads" in captured.err
 
     def test_unknown_scale_rejected(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["verify", "--scale", "huge"])
-        assert excinfo.value.code == 2
+        assert main(["verify", "--scale", "huge"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+        assert "--scale" in captured.err
