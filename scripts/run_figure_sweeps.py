@@ -20,7 +20,7 @@ import os
 import sys
 import time
 
-from groupform import SweepConfig, TorusShape, run_sweep, sample_grid_point
+from groupform import SweepConfig, TorusShape, run_sweep, sample_points
 from groupform.cli import at_least, write_primitive_csv, write_sweep_csv
 
 MASTER_SEED = 20260810
@@ -59,13 +59,14 @@ def relaxation_curves(out_path, sizes, samples, threads):
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["p", "m", "mean_n_st", "settled", "samples"])
-        for p in (0.35, 0.6, 0.85):
-            for m in sizes:
-                stats = sample_grid_point(
-                    TorusShape((m,)), p, samples, MASTER_SEED, workers=threads
-                )
-                writer.writerow([p, m, stats.mean_n_st(), stats.fixed_count, stats.samples])
-                log(f"  relaxation p={p} M={m}: mean n_st={stats.mean_n_st():.1f}")
+
+        def row(k, p, stats):
+            m = stats.total_cells
+            writer.writerow([p, m, stats.mean_n_st(), stats.fixed_count, stats.samples])
+            log(f"  relaxation p={p} M={m}: mean n_st={stats.mean_n_st():.1f}")
+
+        points = [(TorusShape((m,)), p, 0) for p in (0.35, 0.6, 0.85) for m in sizes]
+        sample_points(points, samples, MASTER_SEED, workers=threads, progress=row)
     log(f"wrote {out_path}")
 
 
@@ -80,14 +81,14 @@ def dense_2d_histograms(out_path, samples, threads):
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["p", "r", "mean_Q"])
-        for grid_index, p in enumerate((0.9, 0.99)):
-            stats = sample_grid_point(
-                TorusShape((200, 200)), p, samples, MASTER_SEED,
-                grid_index=grid_index, workers=threads,
-            )
+
+        def rows(k, p, stats):
             for r in sorted(stats.count_sums):
                 writer.writerow([p, r, stats.mean_q(r)])
             log(f"  dense 2D p={p}: sizes up to {max(stats.count_sums, default=0)}")
+
+        points = [(TorusShape((200, 200)), p, i) for i, p in enumerate((0.9, 0.99))]
+        sample_points(points, samples, MASTER_SEED, workers=threads, progress=rows)
     log(f"wrote {out_path}")
 
 

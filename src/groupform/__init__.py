@@ -23,6 +23,7 @@ from .montecarlo import (
     run_sample,
     run_sweep,
     sample_grid_point,
+    sample_points,
 )
 from .primitive import analytic_densities, simulate_primitive
 from .steady import OutcomeKind, TrajectoryOutcome, default_max_steps, evolve
@@ -47,6 +48,7 @@ __all__ = [
     "run_sample",
     "run_sweep",
     "sample_grid_point",
+    "sample_points",
     "simulate_primitive",
     "step",
     "step_oracle",

@@ -7,6 +7,10 @@ integer accumulation (counts and squared counts); division happens once
 at reporting time, so results are bit-identical for a given config no
 matter how the samples are scheduled across workers.
 
+Every aggregate (a p-grid sweep, a statistical check, a figure dataset)
+is a list of ``(shape, p, grid_index)`` points run by ``sample_points``,
+the one runner, which owns the only process pool.
+
 Per-sample seeds come from a fixed avalanche-quality 64-bit mix of
 (master_seed, grid_index, sample_index), so any sample can be re-run in
 isolation.
@@ -17,7 +21,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import Pool
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -281,6 +285,38 @@ def _blocks(n_samples: int, workers: int) -> list[tuple[int, int]]:
     return [(j, min(j + block, n_samples)) for j in range(0, n_samples, block)]
 
 
+def sample_points(
+    points: Sequence[tuple[TorusShape, float, int]],
+    samples: int,
+    master_seed: int,
+    max_steps: int | None = None,
+    workers: int = 1,
+    progress: Callable[[int, float, GridPointStats], None] | None = None,
+) -> list[GridPointStats]:
+    """Aggregate ``samples`` trajectories at each ``(shape, p, grid_index)``
+    point, in order; ``progress(k, p, stats)`` follows each point's merge.
+
+    This is the one runner: each point's samples run in blocks, either in
+    this process or, for ``workers`` > 1, on one pool of that many
+    processes that lives for this call, one ``map`` per point. The result
+    is identical for any ``workers`` count: the blocks' integer
+    accumulators are merged, and merging commutes.
+    """
+    blocks = _blocks(samples, workers)
+    results: list[GridPointStats] = []
+    with Pool(processes=workers) if workers > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        for k, (shape, p, grid_index) in enumerate(points):
+            stats = GridPointStats(p=p, grid_index=grid_index, total_cells=shape.total_cells)
+            args = [(shape.dims, p, grid_index, j0, j1, master_seed, max_steps) for j0, j1 in blocks]
+            for part in run(_sample_block, args):
+                stats.merge(part)
+            results.append(stats)
+            if progress is not None:
+                progress(k, p, stats)
+    return results
+
+
 def sample_grid_point(
     shape: TorusShape,
     p: float,
@@ -289,30 +325,10 @@ def sample_grid_point(
     grid_index: int = 0,
     max_steps: int | None = None,
     workers: int = 1,
-    pool=None,
 ) -> GridPointStats:
-    """Aggregate ``samples`` independent trajectories at one p value.
-
-    The samples run in blocks, on ``pool`` if given, else on a pool of
-    ``workers`` processes that lives for this call, else in this process.
-    The result is identical for any ``workers`` count: the blocks' integer
-    accumulators are merged, and merging commutes.
-    """
-    args = [
-        (shape.dims, p, grid_index, j0, j1, master_seed, max_steps)
-        for j0, j1 in _blocks(samples, workers)
-    ]
-    if pool is not None:
-        parts = pool.map(_sample_block, args)
-    elif workers <= 1:
-        parts = [_sample_block(a) for a in args]
-    else:
-        with Pool(processes=workers) as owned:
-            parts = owned.map(_sample_block, args)
-    stats = GridPointStats(p=p, grid_index=grid_index, total_cells=shape.total_cells)
-    for part in parts:
-        stats.merge(part)
-    return stats
+    """Aggregate ``samples`` independent trajectories at one p value: a
+    one-point ``sample_points`` run."""
+    return sample_points([(shape, p, grid_index)], samples, master_seed, max_steps, workers)[0]
 
 
 def run_sweep(
@@ -321,20 +337,7 @@ def run_sweep(
     progress: Callable[[int, float, GridPointStats], None] | None = None,
 ) -> SweepResult:
     """Run the whole p-grid; deterministic given the config, at any parallelism."""
-    points: list[GridPointStats] = []
-    with Pool(processes=workers) if workers > 1 else nullcontext() as pool:
-        for i, p in enumerate(config.p_values()):
-            stats = sample_grid_point(
-                config.shape,
-                p,
-                config.samples_per_p,
-                config.master_seed,
-                grid_index=i,
-                max_steps=config.max_steps,
-                workers=workers,
-                pool=pool,
-            )
-            points.append(stats)
-            if progress is not None:
-                progress(i, p, stats)
-    return SweepResult(points=points)
+    points = [(config.shape, p, i) for i, p in enumerate(config.p_values())]
+    return SweepResult(
+        sample_points(points, config.samples_per_p, config.master_seed, config.max_steps, workers, progress)
+    )

@@ -9,7 +9,8 @@ dominance, size insensitivity, periodic-state rarity, 1D-vs-2D density
 spread), which take minutes.
 
 Every check is deterministic: random inputs come from fixed seeds, and
-sweep aggregation is bit-exact at any worker count. The property checks
+each statistical check runs its grid points as one ``sample_points`` job,
+bit-exact at any worker count. The property checks
 (oracle equivalence, conservation, symmetry) run in this process on one
 seeded stream per dimension, so the states they draw, and the first
 failure they report, depend only on the seed and ``n_states``. A step
@@ -28,7 +29,7 @@ import numpy as np
 
 from .dynamics import step, step_oracle
 from .lattice import LatticeState, TorusShape
-from .montecarlo import mix_seed, sample_grid_point
+from .montecarlo import mix_seed, sample_grid_point, sample_points
 from .primitive import analytic_densities, replica_densities
 from .steady import evolve
 
@@ -262,15 +263,13 @@ def check_q2_dominance(
     workers: int = 1,
 ) -> CheckResult:
     def run():
-        for grid_index, p in enumerate(p_values):
-            stats = sample_grid_point(
-                TorusShape((m,)), p, samples, _SEED_DOMINANCE, grid_index=grid_index, workers=workers
-            )
+        points = [(TorusShape((m,)), p, i) for i, p in enumerate(p_values)]
+        for stats in sample_points(points, samples, _SEED_DOMINANCE, workers=workers):
             q2 = stats.mean_q(2)
             rivals = {r: stats.mean_q(r) for r in (1, 3, 4)}
             loser = next((r for r, q in rivals.items() if q2 <= q), None)
             if loser is not None:
-                return False, f"at p={p}: Q_2={q2:.4f} not above Q_{loser}={rivals[loser]:.4f}"
+                return False, f"at p={stats.p}: Q_2={q2:.4f} not above Q_{loser}={rivals[loser]:.4f}"
         return True, f"Q_2 strictly largest of Q_1..Q_4 at p in {list(p_values)} ({samples} samples each)"
 
     return _timed("q2-dominance", run)
@@ -280,8 +279,8 @@ def check_m_insensitivity(
     p: float = 0.6, samples: int = 2000, tolerance: float = 0.01, workers: int = 1
 ) -> CheckResult:
     def run():
-        small = sample_grid_point(TorusShape((300,)), p, samples, _SEED_SIZES, workers=workers)
-        large = sample_grid_point(TorusShape((3000,)), p, samples, _SEED_SIZES, workers=workers)
+        points = [(TorusShape((300,)), p, 0), (TorusShape((3000,)), p, 0)]
+        small, large = sample_points(points, samples, _SEED_SIZES, workers=workers)
         deltas = {r: abs(small.mean_q(r) - large.mean_q(r)) for r in (1, 2)}
         worst = max(deltas.values())
         return worst < tolerance, (
@@ -301,13 +300,11 @@ def check_steady_prevalence(
         p_values = (0.5, 0.8, 0.9, 0.95)
         worst = 0.0
         worst_p = p_values[0]
-        for grid_index, p in enumerate(p_values):
-            stats = sample_grid_point(
-                TorusShape((m,)), p, samples, _SEED_PREVALENCE, grid_index=grid_index, workers=workers
-            )
+        points = [(TorusShape((m,)), p, i) for i, p in enumerate(p_values)]
+        for stats in sample_points(points, samples, _SEED_PREVALENCE, workers=workers):
             fraction = (stats.periodic_count + stats.unresolved_count) / stats.samples
             if fraction > worst:
-                worst, worst_p = fraction, p
+                worst, worst_p = fraction, stats.p
         return worst < 0.01, (
             f"worst non-settling fraction {worst:.4f} at p={worst_p} "
             f"({samples} samples per p, M={m})"
@@ -323,12 +320,8 @@ def _density_spread(stats) -> float:
 
 def check_2d_spread(samples: int = 500, workers: int = 1) -> CheckResult:
     def run():
-        flat = sample_grid_point(
-            TorusShape((200, 200)), 0.9, samples, _SEED_SPREAD, workers=workers
-        )
-        line = sample_grid_point(
-            TorusShape((3000,)), 0.9, samples, _SEED_SPREAD, grid_index=1, workers=workers
-        )
+        points = [(TorusShape((200, 200)), 0.9, 0), (TorusShape((3000,)), 0.9, 1)]
+        flat, line = sample_points(points, samples, _SEED_SPREAD, workers=workers)
         spread_2d = _density_spread(flat)
         spread_1d = _density_spread(line)
         return spread_2d < spread_1d, (

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from groupform import LatticeState, TorusShape
@@ -34,3 +35,31 @@ def lattice_states(draw, max_value=3, **shape_kwargs):
 @st.composite
 def offsets_for(draw, shape, span=25):
     return tuple(draw(st.integers(-span, span)) for _ in shape.dims)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Swap ``montecarlo.Pool`` for a real pool that records each pool built
+    and each ``map`` call; returns the two lists ``(built, maps)``."""
+    import groupform.montecarlo as mc
+
+    real_pool = mc.Pool
+    built, maps = [], []
+
+    class RecordingPool:
+        def __init__(self, *args, **kwargs):
+            self._pool = real_pool(*args, **kwargs)
+            built.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self._pool.__exit__(*exc)
+
+        def map(self, fn, iterable):
+            maps.append(fn)
+            return self._pool.map(fn, iterable)
+
+    monkeypatch.setattr(mc, "Pool", RecordingPool)
+    return built, maps

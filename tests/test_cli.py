@@ -365,30 +365,33 @@ class TestFigureScript:
         assert main(args + ["--seed", "20260810", "--out", str(tmp_path / "cli.csv")]) == 0
         assert (tmp_path / "onestep.csv").read_bytes() == (tmp_path / "cli.csv").read_bytes()
 
-    # recorded before the CSV writers stopped formatting floats themselves
+    # recorded before the CSV writers stopped formatting floats themselves;
+    # each dataset is one sample_points job, run serially and on a pool
     def test_pinned_relaxation_curves(self, script, tmp_path):
-        path = tmp_path / "relaxation.csv"
-        script.relaxation_curves(str(path), sizes=(30, 60), samples=3, threads=1)
-        assert path.read_text() == (
-            "p,m,mean_n_st,settled,samples\n"
-            "0.35,30,2.3333333333333335,3,3\n"
-            "0.35,60,7.333333333333333,3,3\n"
-            "0.6,30,9.0,3,3\n"
-            "0.6,60,12.0,3,3\n"
-            "0.85,30,26.0,1,3\n"
-            "0.85,60,29.0,2,3\n"
-        )
+        for threads in (1, 2):
+            path = tmp_path / f"relaxation-{threads}.csv"
+            script.relaxation_curves(str(path), sizes=(30, 60), samples=3, threads=threads)
+            assert path.read_text() == (
+                "p,m,mean_n_st,settled,samples\n"
+                "0.35,30,2.3333333333333335,3,3\n"
+                "0.35,60,7.333333333333333,3,3\n"
+                "0.6,30,9.0,3,3\n"
+                "0.6,60,12.0,3,3\n"
+                "0.85,30,26.0,1,3\n"
+                "0.85,60,29.0,2,3\n"
+            ), threads
 
     def test_pinned_dense_2d_histograms(self, script, tmp_path):
-        path = tmp_path / "dense.csv"
-        script.dense_2d_histograms(str(path), samples=2, threads=1)
-        lines = path.read_text().splitlines()
-        assert lines[:3] == ["p,r,mean_Q", "0.9,1,0.018175", "0.9,2,0.0151"]
-        assert "0.9,34,8.75e-05" in lines and lines[-1] == "0.99,61,1.25e-05"
-        assert len(lines) == 100
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "c53e7f5e4e19147a05fe81262d5fed4a3251642b6404707a44696406254ad37b"
-        )
+        for threads in (1, 2):
+            path = tmp_path / f"dense-{threads}.csv"
+            script.dense_2d_histograms(str(path), samples=2, threads=threads)
+            lines = path.read_text().splitlines()
+            assert lines[:3] == ["p,r,mean_Q", "0.9,1,0.018175", "0.9,2,0.0151"]
+            assert "0.9,34,8.75e-05" in lines and lines[-1] == "0.99,61,1.25e-05"
+            assert len(lines) == 100
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+                "c53e7f5e4e19147a05fe81262d5fed4a3251642b6404707a44696406254ad37b"
+            ), threads
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_no_workers_is_usage_error(self, threads, tmp_path):

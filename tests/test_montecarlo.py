@@ -15,6 +15,7 @@ from groupform import (
     run_sample,
     run_sweep,
     sample_grid_point,
+    sample_points,
 )
 
 from conftest import lattice_states
@@ -179,6 +180,47 @@ class TestSampleGridPoint:
         stats = sample_grid_point(TorusShape((30,)), 0.8, 50, master_seed=9)
         recovered = sum(r * c for r, c in stats.count_sums.items())
         assert recovered == stats.fixed_initial_mass_sum
+
+
+class TestSamplePoints:
+    # mixed 1D/2D points with repeated grid indices, shaped like the
+    # statistical checks' jobs (a 2D and a 1D point at one p, two sizes
+    # sharing grid index 0)
+    POINTS = [
+        (TorusShape((12, 12)), 0.9, 0),
+        (TorusShape((60,)), 0.9, 1),
+        (TorusShape((30,)), 0.6, 0),
+        (TorusShape((60,)), 0.6, 0),
+    ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equals_per_point_results(self, workers):
+        expected = [
+            sample_grid_point(shape, p, 10, master_seed=41, grid_index=g, workers=workers)
+            for shape, p, g in self.POINTS
+        ]
+        assert sample_points(self.POINTS, 10, master_seed=41, workers=workers) == expected
+
+    def test_progress_once_per_point_in_order(self):
+        seen = []
+        results = sample_points(
+            self.POINTS, 4, master_seed=41, progress=lambda k, p, stats: seen.append((k, p, stats))
+        )
+        assert [(k, p) for k, p, _ in seen] == [(0, 0.9), (1, 0.9), (2, 0.6), (3, 0.6)]
+        assert all(stats is result for (_, _, stats), result in zip(seen, results))
+
+    def test_one_pool_and_one_map_per_point(self, recording_pool):
+        built, maps = recording_pool
+        sample_points(self.POINTS, 4, master_seed=41, workers=1)
+        assert built == [] and maps == []
+        sample_points(self.POINTS, 4, master_seed=41, workers=2)
+        assert len(built) == 1
+        assert len(maps) == len(self.POINTS)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_no_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="worker count"):
+            sample_points(self.POINTS, 4, master_seed=41, workers=workers)
 
 
 class TestSweepConfig:

@@ -170,6 +170,15 @@ def test_mass_fault_is_a_failure(monkeypatch):
         assert (result.passed, result.detail) == (False, UNDER_DROPPING_STEP[name]), name
 
 
+def test_q2_dominance_detail_and_one_pool(recording_pool):
+    # recorded while each grid point still built a pool of its own
+    built, maps = recording_pool
+    result = verify.check_q2_dominance(m=30, samples=8, workers=2)
+    assert (result.passed, result.detail) == (False, "at p=0.95: Q_2=0.0000 not above Q_1=1.0000")
+    assert len(built) == 1
+    assert len(maps) == 6
+
+
 def test_wrong_first_step_fails_worked_examples(monkeypatch):
     def rolled_at_5(state):
         out = _real_step(state)
