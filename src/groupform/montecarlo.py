@@ -323,12 +323,11 @@ def sample_grid_point(
     samples: int,
     master_seed: int,
     grid_index: int = 0,
-    max_steps: int | None = None,
     workers: int = 1,
 ) -> GridPointStats:
     """Aggregate ``samples`` independent trajectories at one p value: a
     one-point ``sample_points`` run."""
-    return sample_points([(shape, p, grid_index)], samples, master_seed, max_steps, workers)[0]
+    return sample_points([(shape, p, grid_index)], samples, master_seed, workers=workers)[0]
 
 
 def run_sweep(

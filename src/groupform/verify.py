@@ -8,15 +8,22 @@ published steady-state measurements (relaxation times, two-element
 dominance, size insensitivity, periodic-state rarity, 1D-vs-2D density
 spread), which take minutes.
 
+Each check is defined once, here: its sample counts, p values, tolerances
+and expected values are constants inside it (the relaxation targets are
+``RELAXATION_TIMES``), and the CLI and the acceptance gate both call it
+as is. Only the sizes that tests shrink (``n_states``, the primitive
+check's ``m``/``n_seeds``, the dominance check's ``m``/``samples``) and
+``workers`` are parameters.
+
 Every check is deterministic: random inputs come from fixed seeds, and
 each statistical check runs its grid points as one ``sample_points`` job,
-bit-exact at any worker count. The property checks
-(oracle equivalence, conservation, symmetry) run in this process on one
-seeded stream per dimension, so the states they draw, and the first
-failure they report, depend only on the seed and ``n_states``. A step
-that changes a state's mass raises ``OverflowError`` (from
-``conserved_state``); each property check reports that as its FAIL on
-the state it was stepping.
+bit-exact at any worker count. The property checks (``PROPERTIES``:
+oracle equivalence, conservation, symmetry) run through
+``check_property`` in this process on one seeded stream per dimension, so
+the states they draw, and the first failure they report, depend only on
+the seed and ``n_states``. A step that changes a state's mass raises
+``OverflowError`` (from ``conserved_state``); each property check reports
+that as its FAIL on the state it was stepping.
 """
 
 from __future__ import annotations
@@ -33,13 +40,9 @@ from .montecarlo import mix_seed, sample_grid_point, sample_points
 from .primitive import analytic_densities, replica_densities
 from .steady import evolve
 
-# Arbitrary fixed seeds; changing any of them changes which random states
-# the suite exercises, never what the checks demand.
-_SEED_ORACLE_1D = 1001
-_SEED_ORACLE_2D = 1002
-_SEED_MASS = 1003
-_SEED_TRANSLATION = 1004
-_SEED_REFLECTION = 1005
+# Arbitrary fixed seeds (the property checks' 1001-1005 are in
+# ``PROPERTIES``); changing any of them changes which random states the
+# suite exercises, never what the checks demand.
 _SEED_PRIMITIVE = 1006
 _SEED_RELAXATION = 1007
 _SEED_DOMINANCE = 1008
@@ -95,6 +98,10 @@ def _random_state(rng: np.random.Generator, ndim: int) -> LatticeState:
     return LatticeState(TorusShape(dims), values)
 
 
+# Published mean settling time n_st at p=0.8, by 1D torus size M.
+RELAXATION_TIMES = {3000: 50.0, 4000: 52.5}
+
+
 # ---------------------------------------------------------------------------
 # quick checks
 
@@ -142,16 +149,27 @@ def _reflection_failure(state: LatticeState, rng: np.random.Generator) -> str:
     return ""
 
 
-def _property_check(
-    name: str,
-    failure: Callable[[LatticeState, np.random.Generator], str],
-    ndims: tuple[int, ...],
-    seed: int,
-    n_states: int,
-    holds: str = "holds on {} random states (1D and 2D)",
-) -> CheckResult:
-    """Run ``failure`` on ``n_states`` random states of each dimension in
-    ``ndims``; report the first failure, or ``holds`` with the state count."""
+# check name -> (failure predicate, dimensions drawn, seed, pass detail).
+# A predicate returns "" where the property holds on a state.
+_HOLDS = "holds on {} random states (1D and 2D)"
+PROPERTIES = {
+    "oracle-equivalence-1d": (
+        _oracle_failure, (1,), 1001, "step == naive reference on {} random 1D states"
+    ),
+    "oracle-equivalence-2d": (
+        _oracle_failure, (2,), 1002, "step == naive reference on {} random 2D states"
+    ),
+    "mass-conservation": (_mass_failure, (1, 2), 1003, _HOLDS),
+    "translation-equivariance": (_translation_failure, (1, 2), 1004, _HOLDS),
+    "reflection-equivariance": (_reflection_failure, (1, 2), 1005, _HOLDS),
+}
+
+
+def check_property(name: str, n_states: int = 10_000) -> CheckResult:
+    """Run the ``PROPERTIES`` check ``name`` on ``n_states`` random states of
+    each dimension it draws; report the first failure, or its pass detail
+    with the state count."""
+    failure, ndims, seed, holds = PROPERTIES[name]
 
     def run():
         for ndim in ndims:
@@ -169,37 +187,9 @@ def _property_check(
     return _timed(name, run)
 
 
-def check_oracle_equivalence_1d(n_states: int = 10_000) -> CheckResult:
-    return _property_check(
-        "oracle-equivalence-1d", _oracle_failure, (1,), _SEED_ORACLE_1D, n_states,
-        "step == naive reference on {} random 1D states",
-    )
+def check_primitive_mass_identity() -> CheckResult:
+    grid_points = 100
 
-
-def check_oracle_equivalence_2d(n_states: int = 10_000) -> CheckResult:
-    return _property_check(
-        "oracle-equivalence-2d", _oracle_failure, (2,), _SEED_ORACLE_2D, n_states,
-        "step == naive reference on {} random 2D states",
-    )
-
-
-def check_mass_conservation(n_states: int = 10_000) -> CheckResult:
-    return _property_check("mass-conservation", _mass_failure, (1, 2), _SEED_MASS, n_states)
-
-
-def check_translation_equivariance(n_states: int = 10_000) -> CheckResult:
-    return _property_check(
-        "translation-equivariance", _translation_failure, (1, 2), _SEED_TRANSLATION, n_states
-    )
-
-
-def check_reflection_equivariance(n_states: int = 10_000) -> CheckResult:
-    return _property_check(
-        "reflection-equivariance", _reflection_failure, (1, 2), _SEED_REFLECTION, n_states
-    )
-
-
-def check_primitive_mass_identity(grid_points: int = 100) -> CheckResult:
     def run():
         worst = 0.0
         for i in range(grid_points + 1):
@@ -211,16 +201,13 @@ def check_primitive_mass_identity(grid_points: int = 100) -> CheckResult:
     return _timed("primitive-mass-identity", run)
 
 
-def check_primitive_convergence(
-    m: int = 10_000,
-    n_seeds: int = 100,
-    p_values: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9),
-    tolerance: float = 0.005,
-) -> CheckResult:
+def check_primitive_convergence(m: int = 10_000, n_seeds: int = 100) -> CheckResult:
+    tolerance = 0.005
+
     def run():
         worst = 0.0
         worst_at = ""
-        for grid_index, p in enumerate(p_values):
+        for grid_index, p in enumerate((0.1, 0.3, 0.5, 0.7, 0.9)):
             means, _ = replica_densities(m, p, grid_index, n_seeds, _SEED_PRIMITIVE)
             for r, (mean, expected) in enumerate(zip(means, analytic_densities(p)), 1):
                 delta = abs(mean - expected)
@@ -238,15 +225,15 @@ def check_primitive_convergence(
 # full (statistical reproduction) checks
 
 
-def check_relaxation_time(
-    m: int, expected: float, tolerance: float = 2.0, samples: int = 2000, workers: int = 1
-) -> CheckResult:
-    # the acceptance floor is 500 samples; 2000 keeps the standard error of
-    # the mean (~0.24 steps) well clear of the tolerance edge
+def check_relaxation_time(m: int, workers: int = 1) -> CheckResult:
+    """Mean n_st at p=0.8 on the 1D torus of size ``m`` against its
+    ``RELAXATION_TIMES`` entry."""
+    expected, tolerance = RELAXATION_TIMES[m], 2.0
+
     def run():
-        stats = sample_grid_point(
-            TorusShape((m,)), 0.8, samples, _SEED_RELAXATION, workers=workers
-        )
+        # the acceptance floor is 500 samples; 2000 keeps the standard error
+        # of the mean (~0.24 steps) well clear of the tolerance edge
+        stats = sample_grid_point(TorusShape((m,)), 0.8, 2000, _SEED_RELAXATION, workers=workers)
         mean = stats.mean_n_st()
         return abs(mean - expected) <= tolerance, (
             f"mean n_st = {mean:.2f} over {stats.fixed_count} settled samples "
@@ -256,12 +243,9 @@ def check_relaxation_time(
     return _timed(f"relaxation-time-m{m}", run)
 
 
-def check_q2_dominance(
-    m: int = 3000,
-    samples: int = 1000,
-    p_values: tuple[float, ...] = (0.70, 0.75, 0.80, 0.85, 0.90, 0.95),
-    workers: int = 1,
-) -> CheckResult:
+def check_q2_dominance(m: int = 3000, samples: int = 1000, workers: int = 1) -> CheckResult:
+    p_values = (0.70, 0.75, 0.80, 0.85, 0.90, 0.95)
+
     def run():
         points = [(TorusShape((m,)), p, i) for i, p in enumerate(p_values)]
         for stats in sample_points(points, samples, _SEED_DOMINANCE, workers=workers):
@@ -275,15 +259,15 @@ def check_q2_dominance(
     return _timed("q2-dominance", run)
 
 
-def check_m_insensitivity(
-    p: float = 0.6, samples: int = 2000, tolerance: float = 0.01, workers: int = 1
-) -> CheckResult:
+def check_m_insensitivity(workers: int = 1) -> CheckResult:
+    p = 0.6
+
     def run():
         points = [(TorusShape((300,)), p, 0), (TorusShape((3000,)), p, 0)]
-        small, large = sample_points(points, samples, _SEED_SIZES, workers=workers)
+        small, large = sample_points(points, 2000, _SEED_SIZES, workers=workers)
         deltas = {r: abs(small.mean_q(r) - large.mean_q(r)) for r in (1, 2)}
         worst = max(deltas.values())
-        return worst < tolerance, (
+        return worst < 0.01, (
             f"|Q_r(M=300) - Q_r(M=3000)| at p={p}: "
             + ", ".join(f"r={r}: {d:.4f}" for r, d in deltas.items())
         )
@@ -291,11 +275,9 @@ def check_m_insensitivity(
     return _timed("m-insensitivity", run)
 
 
-def check_steady_prevalence(
-    m: int = 3000,
-    samples: int = 2000,
-    workers: int = 1,
-) -> CheckResult:
+def check_steady_prevalence(workers: int = 1) -> CheckResult:
+    m, samples = 3000, 2000
+
     def run():
         p_values = (0.5, 0.8, 0.9, 0.95)
         worst = 0.0
@@ -318,10 +300,10 @@ def _density_spread(stats) -> float:
     return max(qs) - min(qs)
 
 
-def check_2d_spread(samples: int = 500, workers: int = 1) -> CheckResult:
+def check_2d_spread(workers: int = 1) -> CheckResult:
     def run():
         points = [(TorusShape((200, 200)), 0.9, 0), (TorusShape((3000,)), 0.9, 1)]
-        flat, line = sample_points(points, samples, _SEED_SPREAD, workers=workers)
+        flat, line = sample_points(points, 500, _SEED_SPREAD, workers=workers)
         spread_2d = _density_spread(flat)
         spread_1d = _density_spread(line)
         return spread_2d < spread_1d, (
@@ -338,26 +320,18 @@ def check_2d_spread(samples: int = 500, workers: int = 1) -> CheckResult:
 def quick_checks() -> list[CheckResult]:
     return [
         check_worked_examples(),
-        check_oracle_equivalence_1d(),
-        check_oracle_equivalence_2d(),
-        check_mass_conservation(),
-        check_translation_equivariance(),
-        check_reflection_equivariance(),
+        *(check_property(name) for name in PROPERTIES),
         check_primitive_mass_identity(),
         check_primitive_convergence(),
     ]
 
 
 def full_checks(workers: int = 1) -> list[CheckResult]:
-    results = quick_checks()
-    results.extend(
-        [
-            check_relaxation_time(3000, expected=50.0, workers=workers),
-            check_relaxation_time(4000, expected=52.5, workers=workers),
-            check_q2_dominance(workers=workers),
-            check_m_insensitivity(workers=workers),
-            check_steady_prevalence(workers=workers),
-            check_2d_spread(workers=workers),
-        ]
-    )
-    return results
+    return [
+        *quick_checks(),
+        *(check_relaxation_time(m, workers) for m in RELAXATION_TIMES),
+        check_q2_dominance(workers=workers),
+        check_m_insensitivity(workers),
+        check_steady_prevalence(workers),
+        check_2d_spread(workers),
+    ]

@@ -327,31 +327,11 @@ class TestBenchmarkHooks:
     ``SweepConfig.resolved_max_steps``; the library itself needs neither
     hook, so these tests keep them working."""
 
-    def test_sweep_pool_looked_up_at_call_time(self, monkeypatch):
-        import groupform.montecarlo as mc
-
-        real_pool = mc.Pool
-        built, maps = [], []
-
-        class RecordingPool:
-            def __init__(self, *args, **kwargs):
-                self._pool = real_pool(*args, **kwargs)
-                built.append(self)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return self._pool.__exit__(*exc)
-
-            def map(self, fn, iterable):
-                maps.append(fn)
-                return self._pool.map(fn, iterable)
-
+    def test_sweep_pool_looked_up_at_call_time(self, recording_pool):
+        built, maps = recording_pool
         config = SweepConfig(TorusShape((24,)), p_max=0.8, p_steps=2, samples_per_p=12, master_seed=2024)
         serial = run_sweep(config, workers=1)
         assert built == [] and maps == []
-        monkeypatch.setattr(mc, "Pool", RecordingPool)
         pooled = run_sweep(config, workers=2)
         assert len(built) == 1
         assert len(maps) == len(config.p_values()) == 3

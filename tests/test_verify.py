@@ -19,27 +19,27 @@ N_STATES = 101
 # check name -> (states drawn, sha256 of their dims and values in drawing
 # order, pass detail)
 DRAWN = {
-    "check_oracle_equivalence_1d": (
+    "oracle-equivalence-1d": (
         101,
         "9e7f961184ebef03bde50014f74f6dc52e5488d82503886ba0ed6af0fc780fbc",
         "step == naive reference on 101 random 1D states",
     ),
-    "check_oracle_equivalence_2d": (
+    "oracle-equivalence-2d": (
         101,
         "f805555eb826e622cb22f17bcbe97e98cf76a7e53ac7ac9131a6ab35cf1214ee",
         "step == naive reference on 101 random 2D states",
     ),
-    "check_mass_conservation": (
+    "mass-conservation": (
         202,
         "a1aed032a4f08fcfdd93571b8d756123176c466756406d83fe3f7cc72c9231b6",
         "holds on 202 random states (1D and 2D)",
     ),
-    "check_translation_equivariance": (
+    "translation-equivariance": (
         202,
         "a40f93891ca7a75040b001dc2fc6a9bcc8cc4e17d877c80c8d35d9ba7cda0586",
         "holds on 202 random states (1D and 2D)",
     ),
-    "check_reflection_equivariance": (
+    "reflection-equivariance": (
         202,
         "4b1f0e1040a79918dfa1d5c2bda199d73dcd225ce55db76794e1d73e558c8a36",
         "holds on 202 random states (1D and 2D)",
@@ -50,38 +50,38 @@ DRAWN = {
 # Each dimension has its own seeded stream, so the first violation on
 # ndim-D states does not depend on whether the other dimension is broken.
 UNDER_ROLLED_STEP = {
-    ("check_oracle_equivalence_1d", 1): (
+    ("oracle-equivalence-1d", 1): (
         False,
         "first mismatch on [3, 0, 2, 2, 2, 1, 2, 1, 0, 2, 2, 3, 0, 2, 3] (dims (15,))",
     ),
-    ("check_oracle_equivalence_1d", 2): (
+    ("oracle-equivalence-1d", 2): (
         True,
         "step == naive reference on 101 random 1D states",
     ),
-    ("check_oracle_equivalence_2d", 1): (
+    ("oracle-equivalence-2d", 1): (
         True,
         "step == naive reference on 101 random 2D states",
     ),
-    ("check_oracle_equivalence_2d", 2): (
+    ("oracle-equivalence-2d", 2): (
         False,
         "first mismatch on [[3, 2, 0], [1, 2, 0], [2, 0, 3], [0, 2, 0], [0, 0, 0]] (dims (5, 3))",
     ),
-    ("check_mass_conservation", 1): (True, "holds on 202 random states (1D and 2D)"),
-    ("check_mass_conservation", 2): (True, "holds on 202 random states (1D and 2D)"),
-    ("check_translation_equivariance", 1): (
+    ("mass-conservation", 1): (True, "holds on 202 random states (1D and 2D)"),
+    ("mass-conservation", 2): (True, "holds on 202 random states (1D and 2D)"),
+    ("translation-equivariance", 1): (
         False,
         "shift by [-2] not equivariant for [2, 1, 0, 0, 2, 3, 2, 0, 0, 2, 2, 3, 2, 2, 2]",
     ),
-    ("check_translation_equivariance", 2): (
+    ("translation-equivariance", 2): (
         False,
         "shift by [17, -3] not equivariant for"
         " [[0, 0, 0], [1, 1, 0], [2, 1, 1], [2, 0, 3], [1, 1, 2]]",
     ),
-    ("check_reflection_equivariance", 1): (
+    ("reflection-equivariance", 1): (
         False,
         "reflection not equivariant for [3, 1, 0, 1, 3, 2, 3, 2, 3, 0, 2, 3, 2, 1, 0]",
     ),
-    ("check_reflection_equivariance", 2): (
+    ("reflection-equivariance", 2): (
         False,
         "reflection not equivariant for [[2, 0, 0], [1, 0, 2], [1, 0, 0], [1, 0, 0], [0, 2, 3]]",
     ),
@@ -91,11 +91,11 @@ UNDER_ROLLED_STEP = {
 # as an OverflowError from ``conserved_state`` on the first 15-cell state.
 _LOST = "accumulation overflow: mass not conserved by step on "
 UNDER_DROPPING_STEP = {
-    "check_oracle_equivalence_1d": _LOST + "[3, 0, 2, 2, 2, 1, 2, 1, 0, 2, 2, 3, 0, 2, 3]",
-    "check_oracle_equivalence_2d": _LOST + "[[3, 2, 0], [1, 2, 0], [2, 0, 3], [0, 2, 0], [0, 0, 0]]",
-    "check_mass_conservation": _LOST + "[1, 1, 1, 0, 2, 0, 1, 3, 0, 3, 2, 2, 0, 3, 2]",
-    "check_translation_equivariance": _LOST + "[1, 3, 2, 0, 3, 1, 2, 0, 3, 0, 2, 3, 1, 1, 2]",
-    "check_reflection_equivariance": _LOST + "[3, 1, 0, 1, 3, 2, 3, 2, 3, 0, 2, 3, 2, 1, 0]",
+    "oracle-equivalence-1d": _LOST + "[3, 0, 2, 2, 2, 1, 2, 1, 0, 2, 2, 3, 0, 2, 3]",
+    "oracle-equivalence-2d": _LOST + "[[3, 2, 0], [1, 2, 0], [2, 0, 3], [0, 2, 0], [0, 0, 0]]",
+    "mass-conservation": _LOST + "[1, 1, 1, 0, 2, 0, 1, 3, 0, 3, 2, 2, 0, 3, 2]",
+    "translation-equivariance": _LOST + "[1, 3, 2, 0, 3, 1, 2, 0, 3, 0, 2, 3, 1, 1, 2]",
+    "reflection-equivariance": _LOST + "[3, 1, 0, 1, 3, 2, 3, 2, 3, 0, 2, 3, 2, 1, 0]",
 }
 
 _real_step = verify.step
@@ -128,7 +128,13 @@ def _dropping_at_15(state):
     return conserved_state(state, values)
 
 
-@pytest.mark.parametrize("name", sorted(DRAWN))
+def test_every_property_is_pinned():
+    assert sorted(DRAWN) == sorted(verify.PROPERTIES)
+
+
+# the ids are the names these cases ran under while each property check
+# was a function of its own
+@pytest.mark.parametrize("name", sorted(DRAWN), ids=lambda name: "check_" + name.replace("-", "_"))
 def test_states_drawn_and_pass_detail(monkeypatch, name):
     count, digest, detail = DRAWN[name]
     real_random_state = verify._random_state
@@ -142,7 +148,7 @@ def test_states_drawn_and_pass_detail(monkeypatch, name):
         return state
 
     monkeypatch.setattr(verify, "_random_state", recording)
-    result = getattr(verify, name)(n_states=N_STATES)
+    result = verify.check_property(name, n_states=N_STATES)
     assert (len(seen), drawn.hexdigest()) == (count, digest)
     assert (result.passed, result.detail) == (True, detail)
 
@@ -151,7 +157,7 @@ def test_states_drawn_and_pass_detail(monkeypatch, name):
 def test_first_violation_detail(monkeypatch, ndim):
     monkeypatch.setattr(verify, "step", _rolled_at_15_in(ndim))
     for name in DRAWN:
-        result = getattr(verify, name)(n_states=N_STATES)
+        result = verify.check_property(name, n_states=N_STATES)
         assert (result.passed, result.detail) == UNDER_ROLLED_STEP[name, ndim], name
 
 
@@ -166,7 +172,7 @@ def test_primitive_convergence_detail():
 def test_mass_fault_is_a_failure(monkeypatch):
     monkeypatch.setattr(verify, "step", _dropping_at_15)
     for name in DRAWN:
-        result = getattr(verify, name)(n_states=N_STATES)
+        result = verify.check_property(name, n_states=N_STATES)
         assert (result.passed, result.detail) == (False, UNDER_DROPPING_STEP[name]), name
 
 
