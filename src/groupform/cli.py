@@ -25,7 +25,7 @@ from functools import partial
 from . import __version__
 from .dynamics import step
 from .lattice import TorusShape, load_state, read_json
-from .montecarlo import TAIL_MIN_SIZE, SweepConfig, bernoulli_state, run_sweep
+from .montecarlo import TAIL_MIN_SIZE, UINT64_MAX, SweepConfig, bernoulli_state, run_sweep
 from .primitive import analytic_densities, replica_densities
 from .steady import OutcomeKind, default_max_steps, evolve
 from .verify import full_checks, quick_checks
@@ -35,13 +35,15 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def at_least(low: int):
-    """argparse type: an integer no smaller than ``low``."""
+def at_least(low: int, high: int | None = None):
+    """argparse type: an integer no smaller than ``low`` and, if given, no larger than ``high``."""
 
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     return integer
@@ -194,9 +196,8 @@ def write_sweep_csv(result, path: str) -> None:
             p = stats.p
             counts = [stats.fixed_count, stats.periodic_count, stats.unresolved_count, stats.samples]
             writer.writerow([p, 0, "", "", stats.mean_n_st(), *counts])
-            for r in range(1, TAIL_MIN_SIZE):
+            for r in (*range(1, TAIL_MIN_SIZE), "tail"):
                 writer.writerow([p, r, stats.mean_q(r), stats.stderr_q(r), "", "", "", "", ""])
-            writer.writerow([p, "tail", stats.mean_tail_q(), stats.stderr_tail_q(), "", "", "", "", ""])
 
 
 def cmd_sweep(args) -> int:
@@ -320,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     pri.add_argument(
         "--seeds", type=at_least(1), default=100, help="Monte Carlo replicas per p (default 100)"
     )
-    pri.add_argument("--seed", type=int, default=0, help="master seed for the replicas (default 0)")
+    pri.add_argument("--seed", type=at_least(0, UINT64_MAX), default=0, help="master seed, 0..2**64-1 (default 0)")
     pri.add_argument("--out", default="-", help="output CSV path, or - for stdout (default)")
     pri.set_defaults(func=cmd_primitive)
 

@@ -32,22 +32,22 @@ from .steady import OutcomeKind, TrajectoryOutcome, default_max_steps, evolve
 # the tail bucket (large groups only appear in large models).
 TAIL_MIN_SIZE = 5
 
-_MASK64 = 2**64 - 1
+UINT64_MAX = 2**64 - 1
 
 
 def splitmix64(x: int) -> int:
     """One round of the splitmix64 avalanche (Steele, Lea & Flood constants)."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    x = (x + 0x9E3779B97F4A7C15) & UINT64_MAX
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & UINT64_MAX
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & UINT64_MAX
     return x ^ (x >> 31)
 
 
 def mix_seed(master_seed: int, grid_index: int, sample_index: int) -> int:
     """Derive the per-sample 64-bit seed; fixed for the life of the format."""
-    h = splitmix64(master_seed & _MASK64)
-    h = splitmix64(h ^ splitmix64(grid_index & _MASK64))
-    h = splitmix64(h ^ splitmix64(sample_index & _MASK64))
+    h = splitmix64(master_seed & UINT64_MAX)
+    h = splitmix64(h ^ splitmix64(grid_index & UINT64_MAX))
+    h = splitmix64(h ^ splitmix64(sample_index & UINT64_MAX))
     return h
 
 
@@ -56,8 +56,7 @@ def bernoulli_state(shape: TorusShape, p: float, seed: int) -> LatticeState:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
     rng = np.random.default_rng(seed)
-    values = (rng.random(shape.total_cells) < p).astype(np.int64)
-    return LatticeState(shape, values.reshape(shape.dims))
+    return LatticeState(shape, rng.random(shape.total_cells) < p)
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,9 @@ def run_sample(
 
 @dataclass
 class GridPointStats:
-    """Integer accumulator for one p-grid point; merging is commutative."""
+    """Integer accumulator for one p-grid point; merging is commutative.
+
+    ``mean_q(r)``/``stderr_q(r)`` take a size r or ``"tail"``, sizes >= TAIL_MIN_SIZE pooled."""
 
     p: float
     grid_index: int
@@ -156,7 +157,11 @@ class GridPointStats:
 
     # -- reporting (floating point enters only here) --
 
-    def _mean_stderr(self, total: int, total_sq: int) -> tuple[float, float]:
+    def _mean_stderr(self, r: int | str) -> tuple[float, float]:
+        if r == "tail":
+            total, total_sq = self.tail_sum, self.tail_sq_sum
+        else:
+            total, total_sq = self.count_sums.get(r, 0), self.count_sq_sums.get(r, 0)
         n = self.fixed_count
         if n == 0:
             return float("nan"), 0.0
@@ -167,17 +172,11 @@ class GridPointStats:
         stderr = (max(var_counts, 0.0) ** 0.5) / self.total_cells / n**0.5
         return mean, stderr
 
-    def mean_q(self, r: int) -> float:
-        return self._mean_stderr(self.count_sums.get(r, 0), self.count_sq_sums.get(r, 0))[0]
+    def mean_q(self, r: int | str) -> float:
+        return self._mean_stderr(r)[0]
 
-    def stderr_q(self, r: int) -> float:
-        return self._mean_stderr(self.count_sums.get(r, 0), self.count_sq_sums.get(r, 0))[1]
-
-    def mean_tail_q(self) -> float:
-        return self._mean_stderr(self.tail_sum, self.tail_sq_sum)[0]
-
-    def stderr_tail_q(self) -> float:
-        return self._mean_stderr(self.tail_sum, self.tail_sq_sum)[1]
+    def stderr_q(self, r: int | str) -> float:
+        return self._mean_stderr(r)[1]
 
     def mean_n_st(self) -> float:
         return self.n_st_sum / self.fixed_count if self.fixed_count else float("nan")
@@ -188,8 +187,8 @@ class SweepConfig:
     """A p-grid Monte Carlo sweep: p_i = i * p_max / p_steps for i = 0..p_steps.
 
     Grid points are always computed from the integer index, never by
-    accumulating a float increment. ``p_steps == 0`` collapses the grid
-    to the single point p = 0 and requires ``p_max == 0``.
+    accumulating a float increment; ``p_steps >= 1``. ``master_seed`` is
+    in 0..2**64-1, the range ``mix_seed`` reads, so no two seeds alias.
     """
 
     shape: TorusShape
@@ -202,18 +201,16 @@ class SweepConfig:
     def __post_init__(self):
         if not 0.0 <= self.p_max <= 1.0:
             raise ValueError(f"p_max must be in [0, 1], got {self.p_max}")
-        if self.p_steps < 0:
-            raise ValueError(f"p_steps must be >= 0, got {self.p_steps}")
-        if self.p_steps == 0 and self.p_max != 0.0:
-            raise ValueError("p_steps == 0 requires p_max == 0")
+        if self.p_steps < 1:
+            raise ValueError(f"p_steps must be >= 1, got {self.p_steps}")
         if self.samples_per_p < 1:
             raise ValueError(f"samples_per_p must be >= 1, got {self.samples_per_p}")
+        if not 0 <= self.master_seed <= UINT64_MAX:
+            raise ValueError(f"master_seed must be in 0..2**64-1, got {self.master_seed}")
         if self.max_steps is not None and self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
 
     def p_values(self) -> list[float]:
-        if self.p_steps == 0:
-            return [0.0]
         return [i * self.p_max / self.p_steps for i in range(self.p_steps + 1)]
 
     def resolved_max_steps(self) -> int:
@@ -266,8 +263,7 @@ class SweepResult:
 
 
 def _sample_block(args) -> GridPointStats:
-    dims, p, grid_index, j_start, j_end, master_seed, max_steps = args
-    shape = TorusShape(dims)
+    shape, p, grid_index, j_start, j_end, master_seed, max_steps = args
     stats = GridPointStats(p=p, grid_index=grid_index, total_cells=shape.total_cells)
     for j in range(j_start, j_end):
         try:
@@ -308,7 +304,7 @@ def sample_points(
         run = map if pool is None else pool.map
         for k, (shape, p, grid_index) in enumerate(points):
             stats = GridPointStats(p=p, grid_index=grid_index, total_cells=shape.total_cells)
-            args = [(shape.dims, p, grid_index, j0, j1, master_seed, max_steps) for j0, j1 in blocks]
+            args = [(shape, p, grid_index, j0, j1, master_seed, max_steps) for j0, j1 in blocks]
             for part in run(_sample_block, args):
                 stats.merge(part)
             results.append(stats)

@@ -18,9 +18,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from tracing import Tracer  # noqa: E402
 
 
+def _originals(tracer):
+    return [(owner, attr, getattr(owner, attr)) for owner, attr, _ in tracer._patches]
+
+
 def test_tracer_sees_every_sample_and_restores_every_name():
     tracer = Tracer()
-    originals = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in tracer._patches]
+    originals = _originals(tracer)
     config = SweepConfig(TorusShape((24,)), p_max=0.8, p_steps=2, samples_per_p=4, master_seed=2024)
     tracer.install()
     try:
@@ -34,3 +38,22 @@ def test_tracer_sees_every_sample_and_restores_every_name():
     assert tracer.calls("montecarlo.run_sample") == samples
     assert tracer.calls("steady.evolve") == samples
     assert tracer.calls("montecarlo.run_sweep") == 1
+
+
+def test_traced_pool_runs_a_pooled_sweep():
+    # The tracer's pool implements only map, __enter__ and __exit__, and
+    # must be looked up as ``montecarlo.Pool`` when the sweep runs.
+    config = SweepConfig(TorusShape((24,)), p_max=0.8, p_steps=2, samples_per_p=12, master_seed=2024)
+    serial = montecarlo.run_sweep(config, workers=1)
+    tracer = Tracer()
+    originals = _originals(tracer)
+    tracer.install()
+    try:
+        pooled = montecarlo.run_sweep(config, workers=2)
+    finally:
+        tracer.uninstall()
+    assert all(getattr(owner, attr) is real for owner, attr, real in originals)
+    points = len(config.p_values())
+    assert tracer.calls("montecarlo.pool.map") == points == 3
+    assert tracer.counts["montecarlo.pool.tasks"] == points * len(montecarlo._blocks(config.samples_per_p, 2))
+    assert pooled.points == serial.points

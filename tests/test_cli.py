@@ -247,6 +247,13 @@ class TestSweep:
         assert main(["sweep", config, "--out", str(tmp_path / "out")]) == 2
         assert "samples" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_master_seed_outside_64_bits_is_usage_error(self, seed, tmp_path, capsys):
+        config = write_json(tmp_path / "config.json", self._config_payload(master_seed=seed))
+        assert main(["sweep", config, "--out", str(tmp_path / "out")]) == 2
+        assert "master_seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_field_named(self, tmp_path, capsys):
         payload = self._config_payload()
         del payload["p_max"]
@@ -323,6 +330,13 @@ class TestPrimitive:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--seeds" in captured.err
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_is_usage_error(self, seed, capsys):
+        assert main(["primitive", "--m", "10", "--p-steps", "1", "--seeds", "1", "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: argument --seed:")
 
     def test_deterministic_output(self, tmp_path):
         args = ["primitive", "--m", "30", "--p-steps", "3", "--seeds", "2", "--seed", "8"]

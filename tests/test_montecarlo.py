@@ -141,17 +141,21 @@ class TestGridPointStats:
 
     def test_mean_and_stderr_formulas(self):
         stats = GridPointStats(p=0.5, grid_index=0, total_cells=10)
-        for count in (1, 3):
-            hist_counts = {1: count}
+        for count, tail in ((1, 2), (3, 6)):
             stats.samples += 1
             stats.fixed_count += 1
             stats.count_sums[1] = stats.count_sums.get(1, 0) + count
             stats.count_sq_sums[1] = stats.count_sq_sums.get(1, 0) + count * count
+            stats.tail_sum += tail
+            stats.tail_sq_sum += tail * tail
         assert stats.mean_q(1) == pytest.approx(0.2)
         # per-sample Q values are 0.1 and 0.3: sd = sqrt(0.02), se = sd/sqrt(2) = 0.1
         assert stats.stderr_q(1) == pytest.approx(0.1)
         assert stats.mean_q(3) == 0.0
         assert stats.stderr_q(3) == 0.0
+        # per-sample tail Q values are 0.2 and 0.6: sd = sqrt(0.08), se = 0.2
+        assert stats.mean_q("tail") == pytest.approx(0.4)
+        assert stats.stderr_q("tail") == pytest.approx(0.2)
 
     def test_no_settled_samples(self):
         stats = GridPointStats(p=0.5, grid_index=0, total_cells=10)
@@ -240,20 +244,28 @@ class TestSweepConfig:
         assert self._config().p_values() == [0.0, 0.25, 0.5]
         assert self._config(p_max=0.96, p_steps=96).p_values()[7] == 7 * 0.96 / 96
 
-    def test_single_point_grid(self):
-        assert self._config(p_max=0.0, p_steps=0).p_values() == [0.0]
-
     def test_validation(self):
         with pytest.raises(ValueError):
             self._config(p_max=1.5)
         with pytest.raises(ValueError):
             self._config(p_steps=-1)
-        with pytest.raises(ValueError):
-            self._config(p_steps=0, p_max=0.5)
+        for p_max in (0.0, 0.5):
+            with pytest.raises(ValueError, match="p_steps"):
+                self._config(p_steps=0, p_max=p_max)
         with pytest.raises(ValueError):
             self._config(samples_per_p=0)
         with pytest.raises(ValueError):
             self._config(max_steps=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_master_seed_outside_64_bits_rejected(self, seed):
+        # mix_seed reads 64 bits, so these would alias 2**64-1, 0 and 5
+        with pytest.raises(ValueError, match="master_seed"):
+            self._config(master_seed=seed)
+
+    def test_master_seed_range_ends_accepted(self):
+        assert self._config(master_seed=0).master_seed == 0
+        assert self._config(master_seed=2**64 - 1).master_seed == 2**64 - 1
 
     def test_json_roundtrip(self):
         config = self._config(max_steps=500)
