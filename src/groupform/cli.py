@@ -24,8 +24,8 @@ from functools import partial
 
 from . import __version__
 from .dynamics import step
-from .lattice import TorusShape, load_state, read_json
-from .montecarlo import TAIL_MIN_SIZE, UINT64_MAX, SweepConfig, bernoulli_state, run_sweep
+from .lattice import UINT64_MAX, TorusShape, load_state, read_json
+from .montecarlo import TAIL_MIN_SIZE, SweepConfig, bernoulli_state, run_sweep
 from .primitive import analytic_densities, replica_densities
 from .steady import OutcomeKind, default_max_steps, evolve
 from .verify import full_checks, quick_checks

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-_UINT64_MAX = 2**64 - 1
+UINT64_MAX = 2**64 - 1
 _INT64_MAX = 2**63 - 1
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class TorusShape:
             raise ValueError(f"torus must be 1D or 2D, got {len(dims)} dims")
         if any(d < 3 for d in dims):
             raise ValueError(f"every torus dimension must be >= 3, got {dims}")
-        if prod(dims) > _UINT64_MAX:
+        if prod(dims) > UINT64_MAX:
             raise ValueError("torus cell count exceeds the 64-bit range")
 
     @property

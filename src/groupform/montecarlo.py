@@ -19,20 +19,18 @@ isolation.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from multiprocessing import Pool
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .lattice import LatticeState, TorusShape
+from .lattice import UINT64_MAX, LatticeState, TorusShape
 from .steady import OutcomeKind, TrajectoryOutcome, default_max_steps, evolve
 
 # Group sizes 1..4 are reported individually; everything larger lands in
 # the tail bucket (large groups only appear in large models).
 TAIL_MIN_SIZE = 5
-
-UINT64_MAX = 2**64 - 1
 
 
 def splitmix64(x: int) -> int:
@@ -44,10 +42,14 @@ def splitmix64(x: int) -> int:
 
 
 def mix_seed(master_seed: int, grid_index: int, sample_index: int) -> int:
-    """Derive the per-sample 64-bit seed; fixed for the life of the format."""
-    h = splitmix64(master_seed & UINT64_MAX)
-    h = splitmix64(h ^ splitmix64(grid_index & UINT64_MAX))
-    h = splitmix64(h ^ splitmix64(sample_index & UINT64_MAX))
+    """Derive the per-sample 64-bit seed; fixed for the life of the format.
+    Each input must lie in 0..2**64-1, so no two triples alias."""
+    for name, value in (("master_seed", master_seed), ("grid_index", grid_index), ("sample_index", sample_index)):
+        if not 0 <= value <= UINT64_MAX:
+            raise ValueError(f"{name} must be in 0..2**64-1, got {value}")
+    h = splitmix64(master_seed)
+    h = splitmix64(h ^ splitmix64(grid_index))
+    h = splitmix64(h ^ splitmix64(sample_index))
     return h
 
 
@@ -140,20 +142,18 @@ class GridPointStats:
             self.unresolved_count += 1
 
     def merge(self, other: "GridPointStats") -> None:
-        if (other.p, other.grid_index, other.total_cells) != (self.p, self.grid_index, self.total_cells):
+        """Add ``other``'s sums into these: every field but the grid point's
+        three is an integer or a per-size dict of integers."""
+        point = ("p", "grid_index", "total_cells")
+        if any(getattr(other, name) != getattr(self, name) for name in point):
             raise ValueError("cannot merge stats for different grid points")
-        self.samples += other.samples
-        self.fixed_count += other.fixed_count
-        self.periodic_count += other.periodic_count
-        self.unresolved_count += other.unresolved_count
-        self.n_st_sum += other.n_st_sum
-        self.fixed_initial_mass_sum += other.fixed_initial_mass_sum
-        for r, c in other.count_sums.items():
-            self.count_sums[r] = self.count_sums.get(r, 0) + c
-        for r, c in other.count_sq_sums.items():
-            self.count_sq_sums[r] = self.count_sq_sums.get(r, 0) + c
-        self.tail_sum += other.tail_sum
-        self.tail_sq_sum += other.tail_sq_sum
+        for name in [f.name for f in fields(self) if f.name not in point]:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if isinstance(mine, dict):
+                for r, c in theirs.items():
+                    mine[r] = mine.get(r, 0) + c
+            else:
+                setattr(self, name, mine + theirs)
 
     # -- reporting (floating point enters only here) --
 
@@ -187,9 +187,10 @@ class SweepConfig:
     """A p-grid Monte Carlo sweep: p_i = i * p_max / p_steps for i = 0..p_steps.
 
     Grid points are always computed from the integer index, never by
-    accumulating a float increment; ``p_steps >= 1``. ``master_seed`` is
-    in 0..2**64-1, the range ``mix_seed`` reads, so no two seeds alias.
-    """
+    accumulating a float increment. Construction checks every field: ``p_max``
+    is a real in [0, 1], stored as a float; the rest are integers (not bools),
+    ``master_seed`` one ``mix_seed`` accepts and the others >= 1 (or None for
+    ``max_steps``)."""
 
     shape: TorusShape
     p_max: float
@@ -199,16 +200,18 @@ class SweepConfig:
     max_steps: int | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.p_max <= 1.0:
-            raise ValueError(f"p_max must be in [0, 1], got {self.p_max}")
-        if self.p_steps < 1:
-            raise ValueError(f"p_steps must be >= 1, got {self.p_steps}")
-        if self.samples_per_p < 1:
-            raise ValueError(f"samples_per_p must be >= 1, got {self.samples_per_p}")
-        if not 0 <= self.master_seed <= UINT64_MAX:
-            raise ValueError(f"master_seed must be in 0..2**64-1, got {self.master_seed}")
-        if self.max_steps is not None and self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        if isinstance(self.p_max, bool) or not isinstance(self.p_max, (int, float)) or not 0 <= self.p_max <= 1:
+            raise ValueError(f"p_max must be a real number in [0, 1], got {self.p_max!r}")
+        object.__setattr__(self, "p_max", float(self.p_max))
+        for name in ("p_steps", "samples_per_p", "max_steps", "master_seed"):
+            value = getattr(self, name)
+            if value is None and name == "max_steps":
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1 and name != "master_seed":
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        mix_seed(self.master_seed, 0, 0)  # the seed range lives in mix_seed
 
     def p_values(self) -> list[float]:
         return [i * self.p_max / self.p_steps for i in range(self.p_steps + 1)]
@@ -241,19 +244,13 @@ class SweepConfig:
             shape = TorusShape(tuple(data["dims"]))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"sweep config field 'dims' invalid: {exc}") from exc
-        for key, kind in (("p_max", (int, float)), ("p_steps", int), ("samples", int), ("master_seed", int)):
-            if not isinstance(data[key], kind) or isinstance(data[key], bool):
-                raise ValueError(f"sweep config field '{key}' must be a number of type {kind}")
-        max_steps = data.get("max_steps")
-        if max_steps is not None and (not isinstance(max_steps, int) or isinstance(max_steps, bool)):
-            raise ValueError("sweep config field 'max_steps' must be an integer or null")
         return cls(
             shape=shape,
-            p_max=float(data["p_max"]),
+            p_max=data["p_max"],
             p_steps=data["p_steps"],
             samples_per_p=data["samples"],
             master_seed=data["master_seed"],
-            max_steps=max_steps,
+            max_steps=data.get("max_steps"),
         )
 
 
@@ -276,6 +273,8 @@ def _sample_block(args) -> GridPointStats:
 def _blocks(n_samples: int, workers: int) -> list[tuple[int, int]]:
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
+    if n_samples < 1:
+        raise ValueError(f"samples must be >= 1, got {n_samples}")
     # a few blocks per worker keeps the pool busy without tiny tasks
     block = max(1, -(-n_samples // (workers * 4)))
     return [(j, min(j + block, n_samples)) for j in range(0, n_samples, block)]
@@ -321,8 +320,7 @@ def sample_grid_point(
     grid_index: int = 0,
     workers: int = 1,
 ) -> GridPointStats:
-    """Aggregate ``samples`` independent trajectories at one p value: a
-    one-point ``sample_points`` run."""
+    """Aggregate ``samples`` trajectories at one p value: a one-point ``sample_points`` run."""
     return sample_points([(shape, p, grid_index)], samples, master_seed, workers=workers)[0]
 
 

@@ -1,20 +1,24 @@
-"""The names the benchmark's tracer patches still exist and still carry the
+"""The names the benchmark patches and reads still exist and still carry the
 samples.
 
 ``perfbench/tracing.py`` replaces module attributes of groupform (for
 example ``steady.step`` and ``montecarlo.sample_grid_point``) with timing
-wrappers. Renaming or deleting one of them, or calling it in a way the
-wrapper no longer sees, breaks the benchmark; this test makes that a test
-failure here. The tracer is imported from the benchmark as is.
+wrappers, and ``perfbench/bench.py`` checks every sample and grid point it
+times by reading fields of ``SampleResult``, ``TrajectoryOutcome`` and
+``GridPointStats``. Renaming or deleting one of them, or calling it in a way
+the wrapper no longer sees, breaks the benchmark; these tests make that a
+test failure here. The tracer and the checks are imported from the
+benchmark as they are.
 """
 
 import sys
 from pathlib import Path
 
-from groupform import TorusShape, montecarlo
+from groupform import OutcomeKind, TorusShape, default_max_steps, mix_seed, montecarlo
 from groupform.montecarlo import SweepConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import bench  # noqa: E402
 from tracing import Tracer  # noqa: E402
 
 
@@ -57,3 +61,22 @@ def test_traced_pool_runs_a_pooled_sweep():
     assert tracer.calls("montecarlo.pool.map") == points == 3
     assert tracer.counts["montecarlo.pool.tasks"] == points * len(montecarlo._blocks(config.samples_per_p, 2))
     assert pooled.points == serial.points
+
+
+def test_benchmark_checks_pass_on_library_output():
+    config = SweepConfig(TorusShape((16, 16)), p_max=0.8, p_steps=2, samples_per_p=12, master_seed=1)
+    shape, p, max_steps = config.shape, config.p_max, config.resolved_max_steps()
+    assert max_steps == default_max_steps(shape)
+    kinds = set()
+    for j in range(40):
+        seed = mix_seed(1, 0, j)
+        result = montecarlo.run_sample(shape, p, seed, max_steps)
+        kinds.add(result.outcome.kind)
+        assert bench.check_sample(shape, p, seed, max_steps, result, full=True) is None
+    # the periodic branch reads the entry time and period as well
+    assert kinds == {OutcomeKind.FIXED, OutcomeKind.PERIODIC}
+    points = montecarlo.run_sweep(config, workers=2).points
+    assert len(points) == 3
+    for stats in points:
+        assert bench.check_point(stats, config.samples_per_p) is None
+        assert bench.aggregate(stats)["samples"] == config.samples_per_p

@@ -89,6 +89,16 @@ class TestMixSeed:
         for args in [(0, 0, 0), (2**64 - 1, 96, 9999), (17, 0, 1)]:
             assert 0 <= mix_seed(*args) < 2**64
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [((-1, 0, 0), "master_seed"), ((2**64, 0, 0), "master_seed"), ((0, -1, 0), "grid_index")],
+        ids=["master_seed=-1", "master_seed=2**64", "grid_index=-1"],
+    )
+    def test_inputs_outside_64_bits_rejected(self, args, name):
+        # masking them would alias -1 with 2**64-1 and 2**64 with 0
+        with pytest.raises(ValueError, match=name):
+            mix_seed(*args)
+
 
 class TestRunSample:
     def test_empty_initial_state(self):
@@ -119,19 +129,30 @@ class TestRunSample:
 
 
 class TestGridPointStats:
-    def _sample(self, seed):
-        return run_sample(TorusShape((32,)), 0.6, seed, max_steps=3200)
-
-    def test_merge_equals_sequential(self):
-        whole = GridPointStats(p=0.6, grid_index=0, total_cells=32)
-        left = GridPointStats(p=0.6, grid_index=0, total_cells=32)
-        right = GridPointStats(p=0.6, grid_index=0, total_cells=32)
-        for j in range(30):
-            sample = self._sample(mix_seed(5, 0, j))
+    @pytest.mark.parametrize(
+        "dims, p, max_steps, master_seed, grid_index, n",
+        [
+            ((32,), 0.6, 3200, 5, 0, 30),
+            # grid point 4 of the capped golden config: 10 fixed, 1 periodic
+            # and 9 unresolved samples, tail sum 44, so every field is summed
+            ((8, 8), 0.8, 12, 2112, 4, 20),
+        ],
+        ids=["fixed-1d", "capped-8x8"],
+    )
+    def test_merge_equals_sequential(self, dims, p, max_steps, master_seed, grid_index, n):
+        shape = TorusShape(dims)
+        whole, left, right, merged = (
+            GridPointStats(p=p, grid_index=grid_index, total_cells=shape.total_cells) for _ in range(4)
+        )
+        for j in range(n):
+            sample = run_sample(shape, p, mix_seed(master_seed, grid_index, j), max_steps)
             whole.add_sample(sample)
             (left if j < 13 else right).add_sample(sample)
-        left.merge(right)
-        assert left == whole
+        # into an empty accumulator and then a filled one, so a field
+        # dropped from either part shows
+        merged.merge(left)
+        merged.merge(right)
+        assert merged == whole
 
     def test_merge_rejects_mismatched_points(self):
         a = GridPointStats(p=0.5, grid_index=0, total_cells=32)
@@ -174,6 +195,15 @@ class TestSampleGridPoint:
     def test_no_workers_rejected(self, workers):
         with pytest.raises(ValueError, match="worker count"):
             sample_grid_point(TorusShape((30,)), 0.5, 10, master_seed=3, workers=workers)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            sample_grid_point(TorusShape((30,)), 0.5, samples, master_seed=3)
+
+    def test_master_seed_outside_64_bits_rejected(self):
+        with pytest.raises(ValueError, match="master_seed"):
+            sample_grid_point(TorusShape((30,)), 0.7, 6, master_seed=-1)
 
     def test_counts_partition_samples(self):
         stats = sample_grid_point(TorusShape((30,)), 0.9, 25, master_seed=3)
@@ -226,6 +256,15 @@ class TestSamplePoints:
         with pytest.raises(ValueError, match="worker count"):
             sample_points(self.POINTS, 4, master_seed=41, workers=workers)
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            sample_points(self.POINTS, samples, master_seed=41)
+
+    def test_grid_index_outside_64_bits_rejected(self):
+        with pytest.raises(ValueError, match="grid_index"):
+            sample_points([(TorusShape((30,)), 0.7, -1)], 4, 5)
+
 
 class TestSweepConfig:
     def _config(self, **overrides):
@@ -256,6 +295,10 @@ class TestSweepConfig:
             self._config(samples_per_p=0)
         with pytest.raises(ValueError):
             self._config(max_steps=0)
+        # a float count would fail later, in p_values() or in run_sweep
+        for field, value in (("p_steps", 2.5), ("max_steps", 2.5)):
+            with pytest.raises(ValueError, match=field):
+                self._config(**{field: value})
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
     def test_master_seed_outside_64_bits_rejected(self, seed):

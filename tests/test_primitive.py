@@ -109,3 +109,7 @@ class TestReplicaDensities:
     def test_no_replicas_rejected(self, n_seeds):
         with pytest.raises(ValueError, match="n_seeds"):
             replica_densities(10, 0.5, 0, n_seeds, master_seed=0)
+
+    def test_master_seed_outside_64_bits_rejected(self):
+        with pytest.raises(ValueError, match="master_seed"):
+            replica_densities(10, 0.5, 0, 3, -1)
