@@ -25,12 +25,9 @@ from groupform.cli import at_least, write_primitive_csv, write_sweep_csv
 
 MASTER_SEED = 20260810
 
-DEMO = {"sweep_samples": 300, "relax_samples": 300, "relax_sizes": (300, 1000, 3000, 10000)}
-FULL = {
-    "sweep_samples": 10_000,
-    "relax_samples": 10_000,
-    "relax_sizes": (300, 500, 1000, 2000, 3000, 4000, 6000, 8000, 10_000),
-}
+# samples per grid point, shared by every Monte Carlo dataset of a scale
+DEMO = {"samples": 300, "relax_sizes": (300, 1000, 3000, 10000)}
+FULL = {"samples": 10_000, "relax_sizes": (300, 500, 1000, 2000, 3000, 4000, 6000, 8000, 10_000)}
 
 
 def log(message):
@@ -42,14 +39,15 @@ def density_sweep(dims, out_path, samples, threads):
         shape=TorusShape(dims),
         p_max=0.96,
         p_steps=96,
-        samples_per_p=samples,
+        samples=samples,
         master_seed=MASTER_SEED,
     )
+    total = len(config.p_values())
     started = time.time()
     result = run_sweep(
         config,
         workers=threads,
-        progress=lambda i, p, st: log(f"  {os.path.basename(out_path)} p={p:.2f} ({i + 1}/97)"),
+        progress=lambda i, p, st: log(f"  {os.path.basename(out_path)} p={p:.2f} ({i + 1}/{total})"),
     )
     write_sweep_csv(result, out_path)
     log(f"wrote {out_path} in {time.time() - started:.0f}s")
@@ -111,20 +109,20 @@ def main():
     if wanted("density1d"):
         for m in (3000, 4000):
             density_sweep((m,), os.path.join(args.out, f"density_1d_m{m}.csv"),
-                          scale["sweep_samples"], args.threads)
+                          scale["samples"], args.threads)
     if wanted("relaxation"):
         relaxation_curves(os.path.join(args.out, "relaxation_times.csv"),
-                          scale["relax_sizes"], scale["relax_samples"], args.threads)
+                          scale["relax_sizes"], scale["samples"], args.threads)
     if wanted("onestep"):
         onestep_table(os.path.join(args.out, "onestep_densities.csv"), seeds=100)
     if wanted("density2d"):
         for dims in ((100, 150), (200, 200)):
             name = f"density_2d_{dims[0]}x{dims[1]}.csv"
             density_sweep(dims, os.path.join(args.out, name),
-                          scale["sweep_samples"], args.threads)
+                          scale["samples"], args.threads)
     if wanted("dense2d"):
         dense_2d_histograms(os.path.join(args.out, "dense_2d_histograms.csv"),
-                            scale["relax_samples"], args.threads)
+                            scale["samples"], args.threads)
 
     with open(os.path.join(args.out, "run_info.json"), "w") as fh:
         json.dump({"scale": args.scale, "experiment": args.experiment,

@@ -25,7 +25,7 @@ from functools import partial
 from . import __version__
 from .dynamics import step
 from .lattice import UINT64_MAX, TorusShape, load_state, read_json
-from .montecarlo import TAIL_MIN_SIZE, SweepConfig, bernoulli_state, run_sweep
+from .montecarlo import TAIL_MIN_SIZE, SweepConfig, bernoulli_state, p_grid, run_sweep
 from .primitive import analytic_densities, replica_densities
 from .steady import OutcomeKind, default_max_steps, evolve
 from .verify import full_checks, quick_checks
@@ -242,11 +242,10 @@ PRIMITIVE_COLUMNS = (
 
 
 def write_primitive_csv(out, m: int, p_max: float, p_steps: int, seeds: int, master_seed: int) -> None:
-    """Closed-form and Monte Carlo Q_1..Q_3 at p_i = i * p_max / p_steps."""
+    """Closed-form and Monte Carlo Q_1..Q_3 at each point of ``p_grid(p_max, p_steps)``."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(PRIMITIVE_COLUMNS)
-    for i in range(p_steps + 1):
-        p = i * p_max / p_steps
+    for i, p in enumerate(p_grid(p_max, p_steps)):
         means, errors = replica_densities(m, p, i, seeds, master_seed)
         writer.writerow([p, *analytic_densities(p), *means, *errors])
 

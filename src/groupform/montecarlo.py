@@ -19,7 +19,7 @@ isolation.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from multiprocessing import Pool
 from typing import Callable, Mapping, Sequence
 
@@ -182,20 +182,26 @@ class GridPointStats:
         return self.n_st_sum / self.fixed_count if self.fixed_count else float("nan")
 
 
+def p_grid(p_max: float, p_steps: int) -> list[float]:
+    """The sweep grid p_i = i * p_max / p_steps for i = 0..p_steps, each point
+    computed from its integer index, never by accumulating a float increment."""
+    return [i * p_max / p_steps for i in range(p_steps + 1)]
+
+
 @dataclass(frozen=True)
 class SweepConfig:
-    """A p-grid Monte Carlo sweep: p_i = i * p_max / p_steps for i = 0..p_steps.
+    """A Monte Carlo sweep over ``p_grid(p_max, p_steps)``.
 
-    Grid points are always computed from the integer index, never by
-    accumulating a float increment. Construction checks every field: ``p_max``
-    is a real in [0, 1], stored as a float; the rest are integers (not bools),
-    ``master_seed`` one ``mix_seed`` accepts and the others >= 1 (or None for
-    ``max_steps``)."""
+    Its JSON form is ``dims`` (the torus dims of ``shape``) followed by every
+    other field under its own name; only ``max_steps`` may be left out.
+    Construction checks every field: ``p_max`` is a real in [0, 1], stored as
+    a float; the rest are integers (not bools), ``master_seed`` one
+    ``mix_seed`` accepts and the others >= 1 (or None for ``max_steps``)."""
 
     shape: TorusShape
     p_max: float
     p_steps: int
-    samples_per_p: int
+    samples: int
     master_seed: int
     max_steps: int | None = None
 
@@ -203,7 +209,7 @@ class SweepConfig:
         if isinstance(self.p_max, bool) or not isinstance(self.p_max, (int, float)) or not 0 <= self.p_max <= 1:
             raise ValueError(f"p_max must be a real number in [0, 1], got {self.p_max!r}")
         object.__setattr__(self, "p_max", float(self.p_max))
-        for name in ("p_steps", "samples_per_p", "max_steps", "master_seed"):
+        for name in ("p_steps", "samples", "max_steps", "master_seed"):
             value = getattr(self, name)
             if value is None and name == "max_steps":
                 continue
@@ -214,44 +220,30 @@ class SweepConfig:
         mix_seed(self.master_seed, 0, 0)  # the seed range lives in mix_seed
 
     def p_values(self) -> list[float]:
-        return [i * self.p_max / self.p_steps for i in range(self.p_steps + 1)]
+        return p_grid(self.p_max, self.p_steps)
 
     def resolved_max_steps(self) -> int:
         return self.max_steps if self.max_steps is not None else default_max_steps(self.shape)
 
     def to_json_dict(self) -> dict:
-        return {
-            "dims": list(self.shape.dims),
-            "p_max": self.p_max,
-            "p_steps": self.p_steps,
-            "samples": self.samples_per_p,
-            "master_seed": self.master_seed,
-            "max_steps": self.max_steps,
-        }
+        return {"dims": list(self.shape.dims), **{f.name: getattr(self, f.name) for f in fields(self)[1:]}}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SweepConfig":
         if not isinstance(data, dict):
             raise ValueError("sweep config must be a JSON object")
-        required = ("dims", "p_max", "p_steps", "samples", "master_seed")
-        for key in required:
+        rest = fields(cls)[1:]
+        for key in ["dims"] + [f.name for f in rest if f.default is MISSING]:
             if key not in data:
                 raise ValueError(f"sweep config missing required field '{key}'")
-        unknown = set(data) - set(required) - {"max_steps"}
+        unknown = set(data) - {"dims"} - {f.name for f in rest}
         if unknown:
             raise ValueError(f"sweep config has unknown fields: {sorted(unknown)}")
         try:
             shape = TorusShape(tuple(data["dims"]))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"sweep config field 'dims' invalid: {exc}") from exc
-        return cls(
-            shape=shape,
-            p_max=data["p_max"],
-            p_steps=data["p_steps"],
-            samples_per_p=data["samples"],
-            master_seed=data["master_seed"],
-            max_steps=data.get("max_steps"),
-        )
+        return cls(shape, **{key: value for key, value in data.items() if key != "dims"})
 
 
 @dataclass(frozen=True)
@@ -298,6 +290,8 @@ def sample_points(
     accumulators are merged, and merging commutes.
     """
     blocks = _blocks(samples, workers)
+    for _, _, grid_index in points:
+        mix_seed(master_seed, grid_index, 0)  # a bad seed fails here, before any worker starts
     results: list[GridPointStats] = []
     with Pool(processes=workers) if workers > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
@@ -332,5 +326,5 @@ def run_sweep(
     """Run the whole p-grid; deterministic given the config, at any parallelism."""
     points = [(config.shape, p, i) for i, p in enumerate(config.p_values())]
     return SweepResult(
-        sample_points(points, config.samples_per_p, config.master_seed, config.max_steps, workers, progress)
+        sample_points(points, config.samples, config.master_seed, config.max_steps, workers, progress)
     )

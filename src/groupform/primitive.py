@@ -19,31 +19,10 @@ identically (mass conservation in expectation).
 
 from __future__ import annotations
 
-from math import comb
-
 import numpy as np
 
 from .lattice import LatticeState, TorusShape
 from .montecarlo import GroupHistogram, measure, mix_seed
-
-
-# Chance that an odd cell ends up holding 1, 2 or 3 of the variables: the
-# cell always keeps its own, and each of its two even neighbors arrives
-# independently with probability 1/2.
-RECEIVE_WEIGHTS = (0.25, 0.5, 0.25)
-
-
-def binomial_mixture_density(r: int, p: float) -> float:
-    """Density of r-element groups via the binomial mixture (no closed form).
-
-    Half the cells are odd; an odd cell holding n variables contains an
-    r-group with binomial probability C(n, r) p^r (1-p)^(n-r).
-    """
-    total = 0.0
-    for n, s in zip((1, 2, 3), RECEIVE_WEIGHTS):
-        if r <= n:
-            total += s * comb(n, r) * p**r * (1.0 - p) ** (n - r)
-    return total / 2.0
 
 
 def analytic_densities(p: float) -> tuple[float, float, float]:

@@ -29,7 +29,7 @@ def _originals(tracer):
 def test_tracer_sees_every_sample_and_restores_every_name():
     tracer = Tracer()
     originals = _originals(tracer)
-    config = SweepConfig(TorusShape((24,)), p_max=0.8, p_steps=2, samples_per_p=4, master_seed=2024)
+    config = SweepConfig(TorusShape((24,)), p_max=0.8, p_steps=2, samples=4, master_seed=2024)
     tracer.install()
     try:
         assert all(getattr(owner, attr) is not real for owner, attr, real in originals)
@@ -38,7 +38,7 @@ def test_tracer_sees_every_sample_and_restores_every_name():
     finally:
         tracer.uninstall()
     assert all(getattr(owner, attr) is real for owner, attr, real in originals)
-    samples = 1 + len(config.p_values()) * config.samples_per_p
+    samples = 1 + len(config.p_values()) * config.samples
     assert tracer.calls("montecarlo.run_sample") == samples
     assert tracer.calls("steady.evolve") == samples
     assert tracer.calls("montecarlo.run_sweep") == 1
@@ -47,7 +47,7 @@ def test_tracer_sees_every_sample_and_restores_every_name():
 def test_traced_pool_runs_a_pooled_sweep():
     # The tracer's pool implements only map, __enter__ and __exit__, and
     # must be looked up as ``montecarlo.Pool`` when the sweep runs.
-    config = SweepConfig(TorusShape((24,)), p_max=0.8, p_steps=2, samples_per_p=12, master_seed=2024)
+    config = SweepConfig(TorusShape((24,)), p_max=0.8, p_steps=2, samples=12, master_seed=2024)
     serial = montecarlo.run_sweep(config, workers=1)
     tracer = Tracer()
     originals = _originals(tracer)
@@ -59,12 +59,12 @@ def test_traced_pool_runs_a_pooled_sweep():
     assert all(getattr(owner, attr) is real for owner, attr, real in originals)
     points = len(config.p_values())
     assert tracer.calls("montecarlo.pool.map") == points == 3
-    assert tracer.counts["montecarlo.pool.tasks"] == points * len(montecarlo._blocks(config.samples_per_p, 2))
+    assert tracer.counts["montecarlo.pool.tasks"] == points * len(montecarlo._blocks(config.samples, 2))
     assert pooled.points == serial.points
 
 
 def test_benchmark_checks_pass_on_library_output():
-    config = SweepConfig(TorusShape((16, 16)), p_max=0.8, p_steps=2, samples_per_p=12, master_seed=1)
+    config = SweepConfig(TorusShape((16, 16)), p_max=0.8, p_steps=2, samples=12, master_seed=1)
     shape, p, max_steps = config.shape, config.p_max, config.resolved_max_steps()
     assert max_steps == default_max_steps(shape)
     kinds = set()
@@ -78,5 +78,14 @@ def test_benchmark_checks_pass_on_library_output():
     points = montecarlo.run_sweep(config, workers=2).points
     assert len(points) == 3
     for stats in points:
-        assert bench.check_point(stats, config.samples_per_p) is None
-        assert bench.aggregate(stats)["samples"] == config.samples_per_p
+        assert bench.check_point(stats, config.samples) is None
+        assert bench.aggregate(stats)["samples"] == config.samples
+
+
+def test_grid_pool_builds_its_config_positionally():
+    # bench.py passes SweepConfig's fields by position, so a reordered
+    # field would silently change the benchmark's workload
+    config = bench.WORKLOADS["grid_pool"].config(1, 0)
+    assert config.samples == 16
+    assert config.p_steps == 24
+    assert config.p_max == 0.96

@@ -11,6 +11,7 @@ import pytest
 
 from groupform import LatticeState, TorusShape, analytic_densities
 from groupform.cli import main
+from groupform.montecarlo import p_grid
 from groupform.verify import CheckResult
 
 FIG_EXAMPLE = [0, 0, 1, 1, 2, 0, 0, 2, 1, 2, 0, 1, 1, 0]
@@ -243,9 +244,13 @@ class TestSweep:
         assert (tmp_path / "a/sweep.csv").read_bytes() == (tmp_path / "b/sweep.csv").read_bytes()
 
     def test_invalid_config_names_field(self, tmp_path, capsys):
-        config = write_json(tmp_path / "config.json", self._config_payload(samples=0))
-        assert main(["sweep", config, "--out", str(tmp_path / "out")]) == 2
-        assert "samples" in capsys.readouterr().err
+        # the message names the JSON key, which is also the SweepConfig field
+        for samples in (0, "4"):
+            config = write_json(tmp_path / "config.json", self._config_payload(samples=samples))
+            assert main(["sweep", config, "--out", str(tmp_path / "out")]) == 2
+            err = capsys.readouterr().err
+            assert "samples" in err and "samples_per_p" not in err
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_master_seed_outside_64_bits_is_usage_error(self, seed, tmp_path, capsys):
@@ -292,6 +297,7 @@ class TestPrimitive:
         with out.open() as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 5
+        assert [float(row["p"]) for row in rows] == p_grid(1.0, 4)
         first, last = rows[0], rows[-1]
         assert float(first["p"]) == 0.0
         assert all(float(first[c]) == 0.0 for c in first.keys() if c != "p")

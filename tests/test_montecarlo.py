@@ -17,6 +17,7 @@ from groupform import (
     sample_grid_point,
     sample_points,
 )
+from groupform.montecarlo import p_grid
 
 from conftest import lattice_states
 
@@ -201,9 +202,12 @@ class TestSampleGridPoint:
         with pytest.raises(ValueError, match="samples"):
             sample_grid_point(TorusShape((30,)), 0.5, samples, master_seed=3)
 
-    def test_master_seed_outside_64_bits_rejected(self):
-        with pytest.raises(ValueError, match="master_seed"):
-            sample_grid_point(TorusShape((30,)), 0.7, 6, master_seed=-1)
+    def test_master_seed_outside_64_bits_rejected(self, recording_pool):
+        built, _ = recording_pool
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="master_seed"):
+                sample_grid_point(TorusShape((30,)), 0.7, 6, master_seed=-1, workers=workers)
+        assert built == []  # the seed is checked before the pool starts
 
     def test_counts_partition_samples(self):
         stats = sample_grid_point(TorusShape((30,)), 0.9, 25, master_seed=3)
@@ -261,9 +265,14 @@ class TestSamplePoints:
         with pytest.raises(ValueError, match="samples"):
             sample_points(self.POINTS, samples, master_seed=41)
 
-    def test_grid_index_outside_64_bits_rejected(self):
-        with pytest.raises(ValueError, match="grid_index"):
-            sample_points([(TorusShape((30,)), 0.7, -1)], 4, 5)
+    def test_grid_index_outside_64_bits_rejected(self, recording_pool):
+        built, _ = recording_pool
+        # the bad point comes last, so every point is checked before any runs
+        points = [(TorusShape((30,)), 0.7, 0), (TorusShape((30,)), 0.7, -1)]
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="grid_index"):
+                sample_points(points, 4, 5, workers=workers)
+        assert built == []
 
 
 class TestSweepConfig:
@@ -272,7 +281,7 @@ class TestSweepConfig:
             shape=TorusShape((24,)),
             p_max=0.5,
             p_steps=2,
-            samples_per_p=4,
+            samples=4,
             master_seed=123,
             max_steps=None,
         )
@@ -282,6 +291,7 @@ class TestSweepConfig:
     def test_grid_from_integer_index(self):
         assert self._config().p_values() == [0.0, 0.25, 0.5]
         assert self._config(p_max=0.96, p_steps=96).p_values()[7] == 7 * 0.96 / 96
+        assert p_grid(0.96, 96) == self._config(p_max=0.96, p_steps=96).p_values()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -292,7 +302,7 @@ class TestSweepConfig:
             with pytest.raises(ValueError, match="p_steps"):
                 self._config(p_steps=0, p_max=p_max)
         with pytest.raises(ValueError):
-            self._config(samples_per_p=0)
+            self._config(samples=0)
         with pytest.raises(ValueError):
             self._config(max_steps=0)
         # a float count would fail later, in p_values() or in run_sweep
@@ -339,7 +349,7 @@ class TestRunSweep:
             shape=TorusShape((24,)),
             p_max=0.8,
             p_steps=2,
-            samples_per_p=12,
+            samples=12,
             master_seed=2024,
         )
 
@@ -384,7 +394,7 @@ class TestBenchmarkHooks:
 
     def test_sweep_pool_looked_up_at_call_time(self, recording_pool):
         built, maps = recording_pool
-        config = SweepConfig(TorusShape((24,)), p_max=0.8, p_steps=2, samples_per_p=12, master_seed=2024)
+        config = SweepConfig(TorusShape((24,)), p_max=0.8, p_steps=2, samples=12, master_seed=2024)
         serial = run_sweep(config, workers=1)
         assert built == [] and maps == []
         pooled = run_sweep(config, workers=2)

@@ -1,9 +1,29 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from groupform import analytic_densities, mix_seed, simulate_primitive
-from groupform.primitive import binomial_mixture_density, replica_densities
+from groupform.primitive import replica_densities
+
+# Chance that an odd cell ends up holding 1, 2 or 3 of the variables: the
+# cell always keeps its own, and each of its two even neighbors arrives
+# independently with probability 1/2.
+RECEIVE_WEIGHTS = (0.25, 0.5, 0.25)
+
+
+def binomial_mixture_density(r, p):
+    """Density of r-element groups via the binomial mixture (no closed form).
+
+    Half the cells are odd; an odd cell holding n variables contains an
+    r-group with binomial probability C(n, r) p^r (1-p)^(n-r).
+    """
+    total = 0.0
+    for n, s in zip((1, 2, 3), RECEIVE_WEIGHTS):
+        if r <= n:
+            total += s * comb(n, r) * p**r * (1.0 - p) ** (n - r)
+    return total / 2.0
 
 
 class TestAnalyticDensities:
