@@ -7,19 +7,25 @@ difference of the surrounding occupancies: the group at ``k`` jumps to
 Groups landing in the same cell merge by summing. Displacements of any
 magnitude are legal and wrap around the torus.
 
-``tick_kernel`` builds the one production kernel: a function on raw
-flat int64 arrays, built from precomputed neighbour-index tables and
-cached per torus shape for the life of the process, so that a tick
-costs a handful of numpy calls over the occupied cells and no
-``LatticeState`` rebuild. ``step`` applies it once and wraps the result
-at the API boundary. ``step_oracle`` is a deliberately naive reference that tests
-every (target, source) pair against the defining condition, kept around
-purely for equivalence testing.
+``tick_kernel`` returns the one production kernel: a function on raw
+flat int64 arrays that calls the C function ``tick`` in ``_tick.c``, so
+that a tick costs one pass over the cells and no ``LatticeState``
+rebuild. The C source is compiled with gcc on the first import into a
+shared library named by the source's hash, next to the source, and
+loaded with ctypes; later imports load the built file. Without gcc and
+without a built library the import fails. ``step`` applies the kernel
+once and wraps the result at the API boundary. ``step_oracle`` is a
+deliberately naive reference that tests every (target, source) pair
+against the defining condition, kept around purely for equivalence
+testing.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import ctypes
+import hashlib
+import os
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -29,49 +35,76 @@ from .lattice import LatticeState, TorusShape
 # One tick on flat row-major int64 occupancies: T(n) -> T(n+1).
 Tick = Callable[[np.ndarray], np.ndarray]
 
+_SOURCE = Path(__file__).with_name("_tick.c")
 
-@lru_cache(maxsize=64)
+
+def _build(library: Path) -> None:
+    """Compile ``_SOURCE`` into ``library``, atomically.
+
+    gcc writes a temporary file in the same directory, which is then
+    renamed into place, so processes importing at once never load a
+    partly written library.
+    """
+    import subprocess
+    import tempfile
+
+    fd, partial = tempfile.mkstemp(prefix=library.name + ".", suffix=".tmp", dir=library.parent)
+    os.close(fd)
+    try:
+        try:
+            done = subprocess.run(
+                ["gcc", "-O2", "-shared", "-fPIC", "-o", partial, str(_SOURCE)],
+                capture_output=True, text=True,
+            )
+        except FileNotFoundError as exc:
+            raise ImportError(f"building {library.name} needs gcc, which is not on PATH") from exc
+        if done.returncode != 0:
+            raise ImportError(f"gcc failed to build {library.name} from {_SOURCE}:\n{done.stderr}")
+        os.chmod(partial, 0o755)  # mkstemp creates the file readable by its owner only
+        os.replace(partial, library)
+    finally:
+        if os.path.exists(partial):
+            os.unlink(partial)
+
+
+def _load_tick():
+    source_hash = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()[:16]
+    library = _SOURCE.with_name(f"_tick_{source_hash}.so")
+    if not library.exists():
+        _build(library)
+    c_tick = ctypes.CDLL(str(library)).tick
+    c_tick.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64]
+    c_tick.restype = ctypes.c_int
+    return c_tick
+
+
+_c_tick = _load_tick()
+
+
 def tick_kernel(shape: TorusShape) -> Tick:
     """The production tick for ``shape``, on flat row-major int64 arrays.
 
-    The returned function maps the occupancies T(n) to a new array holding
-    T(n+1) and never writes to its argument. Neighbour, coordinate and
-    wrap tables are built on the first call for each shape and never
-    written to afterwards, and the returned tick is pure, so one tick per
-    shape is cached and shared by every ``step`` and ``evolve``
-    call in the process. A tick touches only the occupied
-    cells: it gathers their two neighbours per axis, reduces each
-    displacement modulo the axis length before forming the target (so
-    occupancies near 2**63 never wrap), and merges colliding groups with
-    one exact int64 ``np.add.at``. It does not check mass;
-    callers wrap its output with ``conserved_state``.
+    The returned function maps the occupancies T(n), a C-contiguous int64
+    array of ``shape.total_cells`` non-negative values, to a new flat
+    array holding T(n+1), and never writes to its argument. Any other
+    dtype, layout or size is a ``ValueError``. Each tick scans every cell
+    once in C, skipping empty ones: it reduces each gradient modulo the
+    axis length before forming the target (so occupancies near 2**63
+    never wrap), and merges colliding groups with overflow-checked int64
+    sums; a merged group above 2**63 - 1 is an ``OverflowError``.
     """
-    dims = shape.dims
     n = shape.total_cells
-    cells = np.arange(n).reshape(dims)
-    coords = np.indices(dims)
-    axes = []
-    stride = n
-    for axis, d in enumerate(dims):
-        stride //= d
-        axes.append(
-            (
-                d,
-                np.roll(cells, -1, axis=axis).ravel(),  # successor along the axis
-                np.roll(cells, 1, axis=axis).ravel(),  # predecessor
-                coords[axis].ravel() + d,  # coordinate + d: c - (g % d) lies in [1, 2d)
-                (np.arange(2 * d) % d) * stride,  # that index -> flat offset of the target
-            )
-        )
+    d0, d1 = shape.dims if shape.ndim == 2 else (1, *shape.dims)
 
     def tick(values: np.ndarray) -> np.ndarray:
-        sources = (values != 0).nonzero()[0]
-        targets = 0
-        for d, succ, pred, coord, wrap_offset in axes:
-            push = (values[succ[sources]] - values[pred[sources]]) % d
-            targets = targets + wrap_offset[coord[sources] - push]
-        out = np.zeros(n, dtype=np.int64)
-        np.add.at(out, targets, values[sources])
+        if values.dtype != np.int64 or not values.flags.c_contiguous or values.size != n:
+            raise ValueError(
+                f"tick needs a C-contiguous int64 array of {n} cells, "
+                f"got {values.dtype} {values.shape} (C-contiguous: {values.flags.c_contiguous})"
+            )
+        out = np.empty(n, dtype=np.int64)
+        if _c_tick(values.ctypes.data, out.ctypes.data, d0, d1):
+            raise OverflowError("accumulation overflow: a merged group exceeds 2**63 - 1")
         return out
 
     return tick

@@ -3,10 +3,9 @@
 Trajectories end in one of three ways: a fixed point (the usual case,
 reported with the relaxation time ``n_st``), a periodic orbit with
 period >= 2, or unresolved at the configured cap. The loop runs the raw
-int64 tick from ``dynamics.tick_kernel``, whose tables are cached per
-torus shape for the life of the process rather than built per call, and
-wraps states in ``LatticeState`` (with the mass-conservation check) only
-on the way out.
+int64 tick from ``dynamics.tick_kernel``, one call into the compiled C
+kernel per tick with no per-shape tables, and wraps states in
+``LatticeState`` (with the mass-conservation check) only on the way out.
 
 Each new state is compared with its predecessor, which finds a fixed
 point at the exact relaxation time. Longer cycles are found with Brent's

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupform import LatticeState, TorusShape, step, step_oracle
-from groupform.dynamics import conserved_state
+from groupform.dynamics import conserved_state, tick_kernel
 
-from conftest import lattice_states, offsets_for
+from conftest import lattice_states, offsets_for, torus_shapes
 
 FIG_EXAMPLE = [0, 0, 1, 1, 2, 0, 0, 2, 1, 2, 0, 1, 1, 0]
 
@@ -55,6 +55,59 @@ class TestStepExamples:
         state = LatticeState(TorusShape((5,)), [1, 1, 0, 0, 0])
         with pytest.raises(OverflowError):
             conserved_state(state, np.array([0, 0, 1, 0, 0]))
+
+
+@st.composite
+def near_max_states(draw):
+    """One group of size 2**63 - 2 - slack and at most 1 + slack unit groups,
+    so the mass fits int64 and neighbours see gradients up to +-(2**63 - 2)."""
+    shape = draw(torus_shapes(max_side_1d=12, max_side_2d=6))
+    slack = draw(st.integers(0, 3))
+    cells = draw(st.permutations(range(shape.total_cells)))
+    values = np.zeros(shape.total_cells, dtype=np.int64)
+    values[cells[0]] = 2**63 - 2 - slack
+    for k in cells[1 : 2 + slack]:
+        values[k] = draw(st.integers(0, 1))
+    return LatticeState(shape, values.reshape(shape.dims))
+
+
+class TestTickKernel:
+    @settings(max_examples=150)
+    @given(st.one_of(lattice_states(max_value=4, max_side_1d=12, max_side_2d=6), near_max_states()))
+    def test_raw_tick_matches_oracle(self, state):
+        out = tick_kernel(state.shape)(state.values.reshape(-1))
+        assert out.dtype == np.int64 and out.shape == (state.shape.total_cells,)
+        assert out.tolist() == step_oracle(state).values.ravel().tolist()
+
+    def test_tick_does_not_write_its_argument(self):
+        values = np.array([1, 1, 0, 1, 1, 0, 0], dtype=np.int64)
+        tick_kernel(TorusShape((7,)))(values)
+        assert values.tolist() == [1, 1, 0, 1, 1, 0, 0]
+
+    def test_merge_above_int64_is_an_overflow(self):
+        # x = 2 mod 5 sends cells 0 and 1 both to cell 3, and 2x > 2**63 - 1;
+        # LatticeState rejects this mass, so the raw tick is called directly
+        x = 2**62 + 3
+        with pytest.raises(OverflowError):
+            tick_kernel(TorusShape((5,)))(np.array([x, x, 0, 0, 0], dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.arange(10, dtype=np.int64)[::2],  # strided view
+            np.arange(15, dtype=np.int64).reshape(5, 3).T,  # Fortran order
+            np.arange(5, dtype=np.int32),
+            np.arange(5, dtype=np.uint64),
+            np.arange(5, dtype=np.float64),
+            np.arange(4, dtype=np.int64),
+            np.arange(6, dtype=np.int64),
+        ],
+        ids=["strided", "fortran", "int32", "uint64", "float64", "short", "long"],
+    )
+    def test_other_arrays_are_rejected(self, values):
+        shape = TorusShape((3, 5)) if values.size == 15 else TorusShape((5,))
+        with pytest.raises(ValueError, match="C-contiguous int64"):
+            tick_kernel(shape)(values)
 
 
 class TestStepProperties:
