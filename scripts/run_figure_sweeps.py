@@ -5,23 +5,23 @@ relaxation-time scaling, one-step model validation, 2D sweeps).
 Writes plot-ready CSVs into --out. The full scale (10000 samples per grid
 point) reproduces the published curves but takes hours on a laptop; the
 default demo scale keeps every dataset under a few minutes and is enough
-to see every qualitative feature.
+to see every qualitative feature. Each grid point's rows are written as
+soon as it is complete, so a stopped run keeps every finished point.
 
 Usage:
     python scripts/run_figure_sweeps.py --out results [--scale demo|full]
-        [--experiment all|density1d|relaxation|onestep|density2d|dense2d]
+        [--experiment all|onestep|density1d|relaxation|density2d|dense2d]
         [--threads N]
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
 import time
 
-from groupform import SweepConfig, TorusShape, run_sweep, sample_points
-from groupform.cli import at_least, write_primitive_csv, write_sweep_csv
+from groupform import SweepConfig, TorusShape
+from groupform.cli import DEFAULT_WORKERS, SWEEP_COLUMNS, at_least, sweep_rows, write_points, write_primitive_csv
 
 MASTER_SEED = 20260810
 
@@ -34,38 +34,49 @@ def log(message):
     print(message, file=sys.stderr, flush=True)
 
 
-def density_sweep(dims, out_path, samples, threads):
-    config = SweepConfig(
-        shape=TorusShape(dims),
-        p_max=0.96,
-        p_steps=96,
-        samples=samples,
-        master_seed=MASTER_SEED,
-    )
-    total = len(config.p_values())
-    started = time.time()
-    result = run_sweep(
-        config,
-        workers=threads,
-        progress=lambda i, p, st: log(f"  {os.path.basename(out_path)} p={p:.2f} ({i + 1}/{total})"),
-    )
-    write_sweep_csv(result, out_path)
-    log(f"wrote {out_path} in {time.time() - started:.0f}s")
+def density(dims, samples):
+    """Q_r(p) curves: the `groupform sweep` grid p = 0..0.96 in 96 steps."""
+    config = SweepConfig(TorusShape(dims), p_max=0.96, p_steps=96, samples=samples, master_seed=MASTER_SEED)
+    return SWEEP_COLUMNS, sweep_rows, config.points()
 
 
-def relaxation_curves(out_path, sizes, samples, threads):
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["p", "m", "mean_n_st", "settled", "samples"])
+def relaxation(sizes):
+    """Mean n_st against torus size; every point keeps grid index 0."""
+    columns = ("p", "m", "mean_n_st", "settled", "samples")
+    points = [(TorusShape((m,)), p, 0) for p in (0.35, 0.6, 0.85) for m in sizes]
+    return columns, lambda s: [[s.p, s.total_cells, s.mean_n_st(), s.fixed_count, s.samples]], points
 
-        def row(k, p, stats):
-            m = stats.total_cells
-            writer.writerow([p, m, stats.mean_n_st(), stats.fixed_count, stats.samples])
-            log(f"  relaxation p={p} M={m}: mean n_st={stats.mean_n_st():.1f}")
 
-        points = [(TorusShape((m,)), p, 0) for p in (0.35, 0.6, 0.85) for m in sizes]
-        sample_points(points, samples, MASTER_SEED, workers=threads, progress=row)
-    log(f"wrote {out_path}")
+def dense_2d():
+    """Per-size density tables for very dense 2D initial states."""
+    points = [(TorusShape((200, 200)), p, i) for i, p in enumerate((0.9, 0.99))]
+    return ("p", "r", "mean_Q"), lambda s: [[s.p, r, s.mean_q(r)] for r in sorted(s.count_sums)], points
+
+
+def datasets(scale):
+    """The Monte Carlo datasets of a scale, in run order: (experiment, file name, job)."""
+    samples = scale["samples"]
+    return [
+        ("density1d", "density_1d_m3000.csv", density((3000,), samples)),
+        ("density1d", "density_1d_m4000.csv", density((4000,), samples)),
+        ("relaxation", "relaxation_times.csv", relaxation(scale["relax_sizes"])),
+        ("density2d", "density_2d_100x150.csv", density((100, 150), samples)),
+        ("density2d", "density_2d_200x200.csv", density((200, 200), samples)),
+        ("dense2d", "dense_2d_histograms.csv", dense_2d()),
+    ]
+
+
+def write_dataset(path, job, samples, threads):
+    """Write ``job``, a ``(columns, rows, points)`` triple for ``write_points``, to ``path``."""
+    columns, rows, points = job
+    name, started = os.path.basename(path), time.time()
+
+    def progress(k, p, stats):
+        log(f"  {name} [{k + 1}/{len(points)}] p={p:.4f} cells={stats.total_cells} fixed={stats.fixed_count}")
+
+    write_points(path, columns, rows, points, samples, MASTER_SEED,
+                 max_steps=None, workers=threads, progress=progress)
+    log(f"wrote {path} in {time.time() - started:.0f}s")
 
 
 def onestep_table(out_path, seeds):
@@ -74,55 +85,22 @@ def onestep_table(out_path, seeds):
     log(f"wrote {out_path}")
 
 
-def dense_2d_histograms(out_path, samples, threads):
-    """Per-size density tables for very dense 2D initial states."""
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["p", "r", "mean_Q"])
-
-        def rows(k, p, stats):
-            for r in sorted(stats.count_sums):
-                writer.writerow([p, r, stats.mean_q(r)])
-            log(f"  dense 2D p={p}: sizes up to {max(stats.count_sums, default=0)}")
-
-        points = [(TorusShape((200, 200)), p, i) for i, p in enumerate((0.9, 0.99))]
-        sample_points(points, samples, MASTER_SEED, workers=threads, progress=rows)
-    log(f"wrote {out_path}")
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results", help="output directory")
     parser.add_argument("--scale", choices=("demo", "full"), default="demo")
-    parser.add_argument(
-        "--experiment",
-        choices=("all", "density1d", "relaxation", "onestep", "density2d", "dense2d"),
-        default="all",
-    )
-    parser.add_argument("--threads", type=at_least(1), default=os.cpu_count() or 1)
+    experiments = ("all", "onestep", *dict.fromkeys(experiment for experiment, _, _ in datasets(DEMO)))
+    parser.add_argument("--experiment", choices=experiments, default="all")
+    parser.add_argument("--threads", type=at_least(1), default=DEFAULT_WORKERS)
     args = parser.parse_args()
 
     scale = FULL if args.scale == "full" else DEMO
     os.makedirs(args.out, exist_ok=True)
-    wanted = lambda name: args.experiment in ("all", name)
-
-    if wanted("density1d"):
-        for m in (3000, 4000):
-            density_sweep((m,), os.path.join(args.out, f"density_1d_m{m}.csv"),
-                          scale["samples"], args.threads)
-    if wanted("relaxation"):
-        relaxation_curves(os.path.join(args.out, "relaxation_times.csv"),
-                          scale["relax_sizes"], scale["samples"], args.threads)
-    if wanted("onestep"):
+    if args.experiment in ("all", "onestep"):
         onestep_table(os.path.join(args.out, "onestep_densities.csv"), seeds=100)
-    if wanted("density2d"):
-        for dims in ((100, 150), (200, 200)):
-            name = f"density_2d_{dims[0]}x{dims[1]}.csv"
-            density_sweep(dims, os.path.join(args.out, name),
-                          scale["samples"], args.threads)
-    if wanted("dense2d"):
-        dense_2d_histograms(os.path.join(args.out, "dense_2d_histograms.csv"),
-                            scale["samples"], args.threads)
+    for experiment, file_name, job in datasets(scale):
+        if args.experiment in ("all", experiment):
+            write_dataset(os.path.join(args.out, file_name), job, scale["samples"], args.threads)
 
     with open(os.path.join(args.out, "run_info.json"), "w") as fh:
         json.dump({"scale": args.scale, "experiment": args.experiment,

@@ -8,7 +8,8 @@ before any output exists. ``csv`` writes each float as its shortest
 round-trip decimal, so outputs are byte-stable.
 
 Every file-producing command writes a manifest JSON next to its output
-with everything needed to reproduce the file exactly.
+with everything needed to reproduce the file exactly; it is written last,
+so it marks a complete output.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import partial
 from . import __version__
 from .dynamics import step
 from .lattice import UINT64_MAX, TorusShape, load_state, read_json
-from .montecarlo import TAIL_MIN_SIZE, SweepConfig, bernoulli_state, p_grid, run_sweep
+from .montecarlo import TAIL_MIN_SIZE, SweepConfig, bernoulli_state, p_grid, sample_points
 from .primitive import analytic_densities, replica_densities
 from .steady import OutcomeKind, default_max_steps, evolve
 from .verify import full_checks, quick_checks
@@ -33,6 +34,7 @@ from .verify import full_checks, quick_checks
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+DEFAULT_WORKERS = os.cpu_count() or 1  # --threads of every command and script with a process pool
 
 
 def at_least(low: int, high: int | None = None):
@@ -188,16 +190,29 @@ SWEEP_COLUMNS = (
 )
 
 
-def write_sweep_csv(result, path: str) -> None:
+def sweep_rows(stats) -> list[list]:
+    """One grid point's ``sweep.csv`` rows: the ``r=0`` sentinel, ``r=1..4``, then ``tail``."""
+    p = stats.p
+    counts = [stats.fixed_count, stats.periodic_count, stats.unresolved_count, stats.samples]
+    return [[p, 0, "", "", stats.mean_n_st(), *counts]] + [
+        [p, r, stats.mean_q(r), stats.stderr_q(r), "", "", "", "", ""] for r in (*range(1, TAIL_MIN_SIZE), "tail")
+    ]
+
+
+def write_points(path, columns, rows, points, samples, master_seed, max_steps, workers, progress) -> None:
+    """Run ``sample_points`` into the CSV at ``path``: ``columns``, then each point's
+    ``rows(stats)``, flushed as soon as the point is complete and before ``progress(k, p, stats)``.
+    A stopped run leaves the rows of every complete point, a prefix of the full file."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        for stats in result.points:
-            p = stats.p
-            counts = [stats.fixed_count, stats.periodic_count, stats.unresolved_count, stats.samples]
-            writer.writerow([p, 0, "", "", stats.mean_n_st(), *counts])
-            for r in (*range(1, TAIL_MIN_SIZE), "tail"):
-                writer.writerow([p, r, stats.mean_q(r), stats.stderr_q(r), "", "", "", "", ""])
+        writer.writerow(columns)
+
+        def write(k, p, stats):
+            writer.writerows(rows(stats))
+            fh.flush()
+            progress(k, p, stats)
+
+        sample_points(points, samples, master_seed, max_steps, workers, write)
 
 
 def cmd_sweep(args) -> int:
@@ -205,21 +220,22 @@ def cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "sweep.csv")
     manifest_path = os.path.join(args.out, "manifest.json")
-
-    total = len(config.p_values())
+    if os.path.exists(manifest_path):
+        os.remove(manifest_path)  # a manifest marks a complete run; this one is not, yet
+    points = config.points()
 
     def progress(i, p, stats):
         print(
-            f"[{i + 1}/{total}] p={p:.4f} fixed={stats.fixed_count} "
+            f"[{i + 1}/{len(points)}] p={p:.4f} fixed={stats.fixed_count} "
             f"periodic={stats.periodic_count} unresolved={stats.unresolved_count}",
             file=sys.stderr,
             flush=True,
         )
 
     start = time.perf_counter()
-    result = run_sweep(config, workers=args.threads, progress=progress)
+    write_points(csv_path, SWEEP_COLUMNS, sweep_rows, points,
+                 config.samples, config.master_seed, config.max_steps, args.threads, progress)
     duration = time.perf_counter() - start
-    write_sweep_csv(result, csv_path)
     write_manifest(manifest_path, "sweep", config.to_json_dict(), config.master_seed, [csv_path], duration)
     return EXIT_OK
 
@@ -296,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
     add_command = partial(sub.add_parser, exit_on_error=False)
-    workers = {"type": at_least(1), "default": os.cpu_count() or 1}
+    workers = {"type": at_least(1), "default": DEFAULT_WORKERS}
 
     sim = add_command("simulate", help="evolve one initial state and dump the trajectory")
     sim.add_argument("--state", help="JSON state file: {\"dims\": [...], \"values\": [...]}")

@@ -11,13 +11,13 @@ magnitude are legal and wrap around the torus.
 flat int64 arrays that calls the C function ``tick`` in ``_tick.c``, so
 that a tick costs one pass over the cells and no ``LatticeState``
 rebuild. The C source is compiled with gcc on the first import into a
-shared library named by the source's hash, next to the source, and
-loaded with ctypes; later imports load the built file. Without gcc and
-without a built library the import fails. ``step`` applies the kernel
-once and wraps the result at the API boundary. ``step_oracle`` is a
-deliberately naive reference that tests every (target, source) pair
-against the defining condition, kept around purely for equivalence
-testing.
+shared library named by the hash of the source and the gcc command,
+next to the source, and loaded with ctypes; later imports load the
+built file. Without gcc and without a built library the import fails.
+``step`` applies the kernel once and wraps the result at the API
+boundary. ``step_oracle`` is a deliberately naive reference that tests
+every (target, source) pair against the defining condition, kept
+around purely for equivalence testing.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ from .lattice import LatticeState, TorusShape
 Tick = Callable[[np.ndarray], np.ndarray]
 
 _SOURCE = Path(__file__).with_name("_tick.c")
+# the gcc command before its output and source; it names the library along with the source
+_COMPILE = ("gcc", "-O2", "-shared", "-fPIC")
 
 
 def _build(library: Path) -> None:
@@ -53,7 +55,7 @@ def _build(library: Path) -> None:
     try:
         try:
             done = subprocess.run(
-                ["gcc", "-O2", "-shared", "-fPIC", "-o", partial, str(_SOURCE)],
+                [*_COMPILE, "-o", partial, str(_SOURCE)],
                 capture_output=True, text=True,
             )
         except FileNotFoundError as exc:
@@ -68,8 +70,8 @@ def _build(library: Path) -> None:
 
 
 def _load_tick():
-    source_hash = hashlib.sha256(_SOURCE.read_bytes()).hexdigest()[:16]
-    library = _SOURCE.with_name(f"_tick_{source_hash}.so")
+    build_hash = hashlib.sha256(repr(_COMPILE).encode() + _SOURCE.read_bytes()).hexdigest()[:16]
+    library = _SOURCE.with_name(f"_tick_{build_hash}.so")
     if not library.exists():
         _build(library)
     c_tick = ctypes.CDLL(str(library)).tick

@@ -222,6 +222,10 @@ class SweepConfig:
     def p_values(self) -> list[float]:
         return p_grid(self.p_max, self.p_steps)
 
+    def points(self) -> list[tuple[TorusShape, float, int]]:
+        """The sweep's ``(shape, p, grid_index)`` points, in grid order."""
+        return [(self.shape, p, i) for i, p in enumerate(self.p_values())]
+
     def resolved_max_steps(self) -> int:
         return self.max_steps if self.max_steps is not None else default_max_steps(self.shape)
 
@@ -324,7 +328,6 @@ def run_sweep(
     progress: Callable[[int, float, GridPointStats], None] | None = None,
 ) -> SweepResult:
     """Run the whole p-grid; deterministic given the config, at any parallelism."""
-    points = [(config.shape, p, i) for i, p in enumerate(config.p_values())]
     return SweepResult(
-        sample_points(points, config.samples, config.master_seed, config.max_steps, workers, progress)
+        sample_points(config.points(), config.samples, config.master_seed, config.max_steps, workers, progress)
     )

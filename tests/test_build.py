@@ -83,3 +83,18 @@ def test_import_without_gcc_fails_naming_gcc(tmp_path):
     assert done.returncode != 0
     assert "ImportError" in done.stderr and "gcc" in done.stderr
     assert built_files(copy) == []
+
+
+def test_changed_compile_flags_build_a_second_library(tmp_path):
+    # no bytecode cache, so the edited dynamics.py is what the second import runs
+    copy = package_copy(tmp_path)
+    assert run_import(copy, PYTHONDONTWRITEBYTECODE="1").returncode == 0
+    (first,) = built_files(copy)
+    dynamics = copy / "dynamics.py"
+    source = dynamics.read_text()
+    assert source.count('"-O2"') == 1
+    dynamics.write_text(source.replace('"-O2"', '"-O1"'))
+    done = run_import(copy, PYTHONDONTWRITEBYTECODE="1")
+    assert done.returncode == 0, done.stderr
+    (second,) = set(built_files(copy)) - {first}
+    assert second.startswith("_tick_") and second.endswith(".so")

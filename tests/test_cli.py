@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -20,6 +21,23 @@ FIG_EXAMPLE = [0, 0, 1, 1, 2, 0, 0, 2, 1, 2, 0, 1, 1, 0]
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+class Stopped(Exception):
+    pass
+
+
+class StopAfterLines(io.StringIO):
+    """A stand-in stderr that raises ``Stopped`` from the flush of its ``lines``-th line:
+    a run stopped from its progress callback once that many points are complete."""
+
+    def __init__(self, lines):
+        super().__init__()
+        self.lines = lines
+
+    def flush(self):
+        if self.getvalue().count("\n") >= self.lines:
+            raise Stopped
 
 
 class TestSimulate:
@@ -243,6 +261,23 @@ class TestSweep:
         main(["sweep", replayed, "--out", str(tmp_path / "b"), "--threads", "1"])
         assert (tmp_path / "a/sweep.csv").read_bytes() == (tmp_path / "b/sweep.csv").read_bytes()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_stopped_sweep_keeps_finished_points(self, threads, tmp_path, monkeypatch):
+        # each stopped run reuses the directory of a complete one: the finished
+        # points' rows are a prefix of the complete file, and no manifest is left
+        config = write_json(tmp_path / "config.json", self._config_payload(p_steps=4))
+        out = tmp_path / "out"
+        assert main(["sweep", config, "--out", str(out), "--threads", threads]) == 0
+        complete = (out / "sweep.csv").read_bytes()
+        for k in (1, 3):
+            monkeypatch.setattr(sys, "stderr", StopAfterLines(k))
+            with pytest.raises(Stopped):
+                main(["sweep", config, "--out", str(out), "--threads", threads])
+            stopped = (out / "sweep.csv").read_bytes()
+            assert stopped.count(b"\n") == 1 + 6 * k
+            assert complete.startswith(stopped)
+            assert not (out / "manifest.json").exists()
+
     def test_invalid_config_names_field(self, tmp_path, capsys):
         # the message names the JSON key, which is also the SweepConfig field
         for samples in (0, "4"):
@@ -390,7 +425,7 @@ class TestFigureScript:
     def test_pinned_relaxation_curves(self, script, tmp_path):
         for threads in (1, 2):
             path = tmp_path / f"relaxation-{threads}.csv"
-            script.relaxation_curves(str(path), sizes=(30, 60), samples=3, threads=threads)
+            script.write_dataset(str(path), script.relaxation((30, 60)), samples=3, threads=threads)
             assert path.read_text() == (
                 "p,m,mean_n_st,settled,samples\n"
                 "0.35,30,2.3333333333333335,3,3\n"
@@ -404,13 +439,35 @@ class TestFigureScript:
     def test_pinned_dense_2d_histograms(self, script, tmp_path):
         for threads in (1, 2):
             path = tmp_path / f"dense-{threads}.csv"
-            script.dense_2d_histograms(str(path), samples=2, threads=threads)
+            script.write_dataset(str(path), script.dense_2d(), samples=2, threads=threads)
             lines = path.read_text().splitlines()
             assert lines[:3] == ["p,r,mean_Q", "0.9,1,0.018175", "0.9,2,0.0151"]
             assert "0.9,34,8.75e-05" in lines and lines[-1] == "0.99,61,1.25e-05"
             assert len(lines) == 100
             assert hashlib.sha256(path.read_bytes()).hexdigest() == (
                 "c53e7f5e4e19147a05fe81262d5fed4a3251642b6404707a44696406254ad37b"
+            ), threads
+
+    def test_density_dataset_matches_sweep_command(self, script, tmp_path):
+        payload = {"dims": [30], "p_max": 0.96, "p_steps": 96, "samples": 3, "master_seed": 20260810}
+        config = write_json(tmp_path / "config.json", payload)
+        for threads in (1, 2):
+            path = tmp_path / f"density-{threads}.csv"
+            script.write_dataset(str(path), script.density((30,), 3), samples=3, threads=threads)
+            out = tmp_path / f"cli-{threads}"
+            assert main(["sweep", config, "--out", str(out), "--threads", str(threads)]) == 0
+            assert path.read_bytes() == (out / "sweep.csv").read_bytes(), threads
+
+    def test_stopped_dataset_keeps_finished_points(self, script, tmp_path, monkeypatch):
+        for threads in (1, 2):
+            path = tmp_path / f"relaxation-{threads}.csv"
+            monkeypatch.setattr(sys, "stderr", StopAfterLines(2))
+            with pytest.raises(Stopped):
+                script.write_dataset(str(path), script.relaxation((30, 60)), samples=3, threads=threads)
+            assert path.read_text() == (
+                "p,m,mean_n_st,settled,samples\n"
+                "0.35,30,2.3333333333333335,3,3\n"
+                "0.35,60,7.333333333333333,3,3\n"
             ), threads
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
