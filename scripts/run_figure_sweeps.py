@@ -15,13 +15,13 @@ Usage:
 """
 
 import argparse
-import json
 import os
 import sys
 import time
 
 from groupform import SweepConfig, TorusShape
-from groupform.cli import DEFAULT_WORKERS, SWEEP_COLUMNS, at_least, sweep_rows, write_points, write_primitive_csv
+from groupform.cli import (DEFAULT_WORKERS, EXIT_INTERRUPTED, SWEEP_COLUMNS, at_least, output, sweep_rows,
+                           write_points, write_primitive_csv)
 
 MASTER_SEED = 20260810
 
@@ -67,21 +67,24 @@ def datasets(scale):
 
 
 def write_dataset(path, job, samples, threads):
-    """Write ``job``, a ``(columns, rows, points)`` triple for ``write_points``, to ``path``."""
+    """Write ``job``, a ``(columns, rows, points)`` triple for ``write_points``, to ``path``
+    and, once it is complete, its manifest: the points, the samples per point and the seed."""
     columns, rows, points = job
     name, started = os.path.basename(path), time.time()
 
     def progress(k, p, stats):
         log(f"  {name} [{k + 1}/{len(points)}] p={p:.4f} cells={stats.total_cells} fixed={stats.fixed_count}")
 
-    write_points(path, columns, rows, points, samples, MASTER_SEED,
-                 max_steps=None, workers=threads, progress=progress)
+    parameters = {"points": [[list(shape.dims), p, i] for shape, p, i in points], "samples": samples}
+    with output(path, "run_figure_sweeps", parameters, MASTER_SEED) as out:
+        write_points(out, columns, rows, points, samples, MASTER_SEED,
+                     max_steps=None, workers=threads, progress=progress)
     log(f"wrote {path} in {time.time() - started:.0f}s")
 
 
 def onestep_table(out_path, seeds):
-    with open(out_path, "w", newline="") as fh:
-        write_primitive_csv(fh, 10_000, 1.0, 100, seeds, MASTER_SEED)
+    """The file and manifest that `groupform primitive --m 10000 --seeds SEEDS --seed MASTER_SEED` writes."""
+    write_primitive_csv(out_path, 10_000, 1.0, 100, seeds, MASTER_SEED)
     log(f"wrote {out_path}")
 
 
@@ -96,17 +99,17 @@ def main():
 
     scale = FULL if args.scale == "full" else DEMO
     os.makedirs(args.out, exist_ok=True)
-    if args.experiment in ("all", "onestep"):
-        onestep_table(os.path.join(args.out, "onestep_densities.csv"), seeds=100)
-    for experiment, file_name, job in datasets(scale):
-        if args.experiment in ("all", experiment):
-            write_dataset(os.path.join(args.out, file_name), job, scale["samples"], args.threads)
-
-    with open(os.path.join(args.out, "run_info.json"), "w") as fh:
-        json.dump({"scale": args.scale, "experiment": args.experiment,
-                   "master_seed": MASTER_SEED}, fh, indent=2)
-        fh.write("\n")
+    try:
+        if args.experiment in ("all", "onestep"):
+            onestep_table(os.path.join(args.out, "onestep_densities.csv"), seeds=100)
+        for experiment, file_name, job in datasets(scale):
+            if args.experiment in ("all", experiment):
+                write_dataset(os.path.join(args.out, file_name), job, scale["samples"], args.threads)
+    except KeyboardInterrupt:
+        log("error: interrupted")
+        return EXIT_INTERRUPTED
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -2,14 +2,17 @@
 
 Data goes to files or standard output; progress goes to standard error,
 so outputs are pipeline-safe. Exit codes: 0 success, 1 verification or
-property failure, 2 usage/config error. Every flag value is checked by
-its argparse type at parse time, so a bad one is a one-line usage error
+property failure, 2 usage/config error, 130 interrupted (Ctrl-C), each
+error a single ``error:`` line. Every flag value is checked by its
+argparse type at parse time, so a bad one is a one-line usage error
 before any output exists. ``csv`` writes each float as its shortest
 round-trip decimal, so outputs are byte-stable.
 
-Every file-producing command writes a manifest JSON next to its output
-with everything needed to reproduce the file exactly; it is written last,
-so it marks a complete output.
+Every output file, of every command and of the figure script, is opened
+through ``output``, which writes a manifest JSON next to it with
+everything needed to reproduce the file exactly. An earlier manifest is
+removed first and the new one is written last, so a manifest marks a
+complete output.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import json
 import os
 import sys
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager
 from functools import partial
 
 from . import __version__
@@ -34,6 +37,7 @@ from .verify import full_checks, quick_checks
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
 DEFAULT_WORKERS = os.cpu_count() or 1  # --threads of every command and script with a process pool
 
 
@@ -76,34 +80,34 @@ def torus_shape(text: str) -> TorusShape:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def write_manifest(
-    path: str,
-    command: str,
-    parameters: dict,
-    master_seed: int | None,
-    outputs: list[str],
-    duration_seconds: float,
-    **extras,
-) -> None:
-    """Write everything needed to regenerate an output file bit-for-bit."""
+@contextmanager
+def output(path: str, command: str, parameters: dict, master_seed: int | None, manifest: str | None = None,
+           **extras):
+    """Open ``path`` for a command's output, or yield stdout for ``-``. A file gets a
+    manifest (default ``path + ".manifest.json"``) with everything needed to regenerate it
+    bit-for-bit: an earlier one is removed before ``path`` is opened, and the new one is
+    written only once the body has returned, so a manifest marks a complete output."""
+    if path == "-":
+        yield sys.stdout
+        return
+    manifest = manifest or path + ".manifest.json"
+    if os.path.exists(manifest):
+        os.remove(manifest)
+    start = time.perf_counter()
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        yield fh
     record = {
         "command": command,
         "version": __version__,
         "parameters": parameters,
         "master_seed": master_seed,
-        "duration_seconds": duration_seconds,
-        "outputs": outputs,
+        "duration_seconds": time.perf_counter() - start,
+        "outputs": [path],
         **extras,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(manifest, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
-
-
-def _open_out(path: str):
-    if path == "-":
-        return nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8", newline="")
 
 
 # ---------------------------------------------------------------------------
@@ -142,35 +146,22 @@ def cmd_simulate(args) -> int:
         raise ValueError("give an initial state: --state FILE or --dims DIMS --p P")
 
     max_steps = args.max_steps if args.max_steps is not None else default_max_steps(initial.shape)
-    start = time.perf_counter()
     outcome = evolve(initial, max_steps)
     # a periodic outcome's steps_taken is entry_time + period
     dump_until = outcome.n_st if outcome.kind is OutcomeKind.FIXED else outcome.steps_taken
 
     # T(0) .. T(dump_until) are written as they are stepped, one state held at a time
-    with _open_out(args.out) as out:
+    with output(args.out, "simulate", {**parameters, "max_steps": max_steps}, parameters.get("seed"),
+                initial_state=initial.to_json_dict(), outcome_kind=outcome.kind.value) as out:
         state = initial
         out.write(_json_line(state.to_json_dict()))
         for _ in range(dump_until):
             state = step(state)
             out.write(_json_line(state.to_json_dict()))
         out.write(_json_line(_outcome_record(outcome)))
-    duration = time.perf_counter() - start
 
     if outcome.kind is OutcomeKind.UNRESOLVED:
         print(f"warning: no steady state or cycle within {max_steps} steps", file=sys.stderr)
-    if args.out != "-":
-        parameters["max_steps"] = max_steps
-        write_manifest(
-            args.out + ".manifest.json",
-            "simulate",
-            parameters,
-            parameters.get("seed"),
-            [args.out],
-            duration,
-            initial_state=initial.to_json_dict(),
-            outcome_kind=outcome.kind.value,
-        )
     return EXIT_OK
 
 
@@ -199,29 +190,24 @@ def sweep_rows(stats) -> list[list]:
     ]
 
 
-def write_points(path, columns, rows, points, samples, master_seed, max_steps, workers, progress) -> None:
-    """Run ``sample_points`` into the CSV at ``path``: ``columns``, then each point's
+def write_points(out, columns, rows, points, samples, master_seed, max_steps, workers, progress) -> None:
+    """Run ``sample_points`` into the open CSV file ``out``: ``columns``, then each point's
     ``rows(stats)``, flushed as soon as the point is complete and before ``progress(k, p, stats)``.
     A stopped run leaves the rows of every complete point, a prefix of the full file."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
 
-        def write(k, p, stats):
-            writer.writerows(rows(stats))
-            fh.flush()
-            progress(k, p, stats)
+    def write(k, p, stats):
+        writer.writerows(rows(stats))
+        out.flush()
+        progress(k, p, stats)
 
-        sample_points(points, samples, master_seed, max_steps, workers, write)
+    sample_points(points, samples, master_seed, max_steps, workers, write)
 
 
 def cmd_sweep(args) -> int:
     config = SweepConfig.from_json_dict(read_json(args.config))
     os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "sweep.csv")
-    manifest_path = os.path.join(args.out, "manifest.json")
-    if os.path.exists(manifest_path):
-        os.remove(manifest_path)  # a manifest marks a complete run; this one is not, yet
     points = config.points()
 
     def progress(i, p, stats):
@@ -232,11 +218,10 @@ def cmd_sweep(args) -> int:
             flush=True,
         )
 
-    start = time.perf_counter()
-    write_points(csv_path, SWEEP_COLUMNS, sweep_rows, points,
-                 config.samples, config.master_seed, config.max_steps, args.threads, progress)
-    duration = time.perf_counter() - start
-    write_manifest(manifest_path, "sweep", config.to_json_dict(), config.master_seed, [csv_path], duration)
+    with output(os.path.join(args.out, "sweep.csv"), "sweep", config.to_json_dict(), config.master_seed,
+                manifest=os.path.join(args.out, "manifest.json")) as out:
+        write_points(out, SWEEP_COLUMNS, sweep_rows, points,
+                     config.samples, config.master_seed, config.max_steps, args.threads, progress)
     return EXIT_OK
 
 
@@ -257,30 +242,19 @@ PRIMITIVE_COLUMNS = (
 )
 
 
-def write_primitive_csv(out, m: int, p_max: float, p_steps: int, seeds: int, master_seed: int) -> None:
-    """Closed-form and Monte Carlo Q_1..Q_3 at each point of ``p_grid(p_max, p_steps)``."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(PRIMITIVE_COLUMNS)
-    for i, p in enumerate(p_grid(p_max, p_steps)):
-        means, errors = replica_densities(m, p, i, seeds, master_seed)
-        writer.writerow([p, *analytic_densities(p), *means, *errors])
+def write_primitive_csv(path: str, m: int, p_max: float, p_steps: int, seeds: int, master_seed: int) -> None:
+    """Closed-form and Monte Carlo Q_1..Q_3 at each point of ``p_grid(p_max, p_steps)``, to ``path``."""
+    parameters = {"m": m, "p_max": p_max, "p_steps": p_steps, "seeds": seeds}
+    with output(path, "primitive", parameters, master_seed) as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(PRIMITIVE_COLUMNS)
+        for i, p in enumerate(p_grid(p_max, p_steps)):
+            means, errors = replica_densities(m, p, i, seeds, master_seed)
+            writer.writerow([p, *analytic_densities(p), *means, *errors])
 
 
 def cmd_primitive(args) -> int:
-    start = time.perf_counter()
-    with _open_out(args.out) as out:
-        write_primitive_csv(out, args.m, args.p_max, args.p_steps, args.seeds, args.seed)
-    duration = time.perf_counter() - start
-
-    if args.out != "-":
-        write_manifest(
-            args.out + ".manifest.json",
-            "primitive",
-            {"m": args.m, "p_max": args.p_max, "p_steps": args.p_steps, "seeds": args.seeds},
-            args.seed,
-            [args.out],
-            duration,
-        )
+    write_primitive_csv(args.out, args.m, args.p_max, args.p_steps, args.seeds, args.seed)
     return EXIT_OK
 
 
@@ -355,6 +329,9 @@ def main(argv=None) -> int:
     except (argparse.ArgumentError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ isolation.
 
 from __future__ import annotations
 
+import signal
 from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, field, fields
 from multiprocessing import Pool
@@ -276,6 +277,11 @@ def _blocks(n_samples: int, workers: int) -> list[tuple[int, int]]:
     return [(j, min(j + block, n_samples)) for j in range(0, n_samples, block)]
 
 
+def _ignore_sigint() -> None:
+    """Pool worker initializer: a Ctrl-C stops only the parent, which ends the pool."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 def sample_points(
     points: Sequence[tuple[TorusShape, float, int]],
     samples: int,
@@ -297,7 +303,7 @@ def sample_points(
     for _, _, grid_index in points:
         mix_seed(master_seed, grid_index, 0)  # a bad seed fails here, before any worker starts
     results: list[GridPointStats] = []
-    with Pool(processes=workers) if workers > 1 else nullcontext() as pool:
+    with Pool(processes=workers, initializer=_ignore_sigint) if workers > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
         for k, (shape, p, grid_index) in enumerate(points):
             stats = GridPointStats(p=p, grid_index=grid_index, total_cells=shape.total_cells)

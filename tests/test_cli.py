@@ -4,6 +4,7 @@ import importlib.util
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +39,20 @@ class StopAfterLines(io.StringIO):
     def flush(self):
         if self.getvalue().count("\n") >= self.lines:
             raise Stopped
+
+
+def stop_after(k, fn):
+    """``fn``, but raising ``Stopped`` on the call after its ``k``-th: a run stopped mid-output."""
+    calls = 0
+
+    def stopping(*args):
+        nonlocal calls
+        calls += 1
+        if calls > k:
+            raise Stopped
+        return fn(*args)
+
+    return stopping
 
 
 class TestSimulate:
@@ -135,6 +150,21 @@ class TestSimulate:
         assert default == (tmp_path / "zero.jsonl").read_bytes()
         manifest = json.loads((tmp_path / "default.jsonl.manifest.json").read_text())
         assert manifest["master_seed"] == 0 and manifest["parameters"]["seed"] == 0
+
+    def test_stopped_rerun_leaves_no_manifest(self, tmp_path, monkeypatch):
+        import groupform.cli as cli
+
+        # a rerun into a complete run's --out removes its manifest before the first state is written
+        out = tmp_path / "trajectory.jsonl"
+        args = ["simulate", "--dims", "40", "--p", "0.8", "--seed", "2", "--out", str(out)]
+        assert main(args) == 0
+        complete = out.read_bytes()
+        assert complete.count(b"\n") > 4
+        monkeypatch.setattr(cli, "step", stop_after(2, cli.step))
+        with pytest.raises(Stopped):
+            main(args)
+        assert out.read_bytes().count(b"\n") < complete.count(b"\n")
+        assert not (tmp_path / "trajectory.jsonl.manifest.json").exists()
 
     @pytest.mark.parametrize(
         "flags, named",
@@ -350,6 +380,18 @@ class TestPrimitive:
         manifest = json.loads((tmp_path / "primitive.csv.manifest.json").read_text())
         assert manifest["parameters"]["m"] == 50
 
+    def test_stopped_rerun_leaves_no_manifest(self, tmp_path, monkeypatch):
+        import groupform.cli as cli
+
+        out = tmp_path / "primitive.csv"
+        args = ["primitive", "--m", "20", "--p-steps", "4", "--seeds", "2", "--out", str(out)]
+        assert main(args) == 0
+        monkeypatch.setattr(cli, "replica_densities", stop_after(2, cli.replica_densities))
+        with pytest.raises(Stopped):
+            main(args)
+        assert out.read_text().count("\n") <= 3  # the header and at most the two finished rows
+        assert not (tmp_path / "primitive.csv.manifest.json").exists()
+
     def test_odd_m_is_usage_error(self, capsys):
         assert main(["primitive", "--m", "9"]) == 2
         assert "even" in capsys.readouterr().err
@@ -419,6 +461,11 @@ class TestFigureScript:
         args = ["primitive", "--m", "10000", "--p-max", "1.0", "--p-steps", "100", "--seeds", "2"]
         assert main(args + ["--seed", "20260810", "--out", str(tmp_path / "cli.csv")]) == 0
         assert (tmp_path / "onestep.csv").read_bytes() == (tmp_path / "cli.csv").read_bytes()
+        script_manifest = json.loads((tmp_path / "onestep.csv.manifest.json").read_text())
+        cli_manifest = json.loads((tmp_path / "cli.csv.manifest.json").read_text())
+        assert script_manifest["parameters"] == cli_manifest["parameters"]
+        assert script_manifest["master_seed"] == cli_manifest["master_seed"] == script.MASTER_SEED
+        assert script_manifest["outputs"] == [str(tmp_path / "onestep.csv")]
 
     # recorded before the CSV writers stopped formatting floats themselves;
     # each dataset is one sample_points job, run serially and on a pool
@@ -458,9 +505,23 @@ class TestFigureScript:
             assert main(["sweep", config, "--out", str(out), "--threads", str(threads)]) == 0
             assert path.read_bytes() == (out / "sweep.csv").read_bytes(), threads
 
+    def test_dataset_manifest_records_points_samples_and_seed(self, script, tmp_path):
+        path = tmp_path / "relaxation.csv"
+        script.write_dataset(str(path), script.relaxation((30, 60)), samples=3, threads=1)
+        manifest = json.loads((tmp_path / "relaxation.csv.manifest.json").read_text())
+        assert manifest["outputs"] == [str(path)]
+        assert manifest["parameters"] == {
+            "points": [[[m], p, 0] for p in (0.35, 0.6, 0.85) for m in (30, 60)],
+            "samples": 3,
+        }
+        assert manifest["master_seed"] == script.MASTER_SEED
+
     def test_stopped_dataset_keeps_finished_points(self, script, tmp_path, monkeypatch):
         for threads in (1, 2):
+            # each stopped run reuses the file of a complete one, whose manifest it removes
             path = tmp_path / f"relaxation-{threads}.csv"
+            monkeypatch.setattr(sys, "stderr", io.StringIO())
+            script.write_dataset(str(path), script.relaxation((30, 60)), samples=3, threads=threads)
             monkeypatch.setattr(sys, "stderr", StopAfterLines(2))
             with pytest.raises(Stopped):
                 script.write_dataset(str(path), script.relaxation((30, 60)), samples=3, threads=threads)
@@ -469,17 +530,16 @@ class TestFigureScript:
                 "0.35,30,2.3333333333333335,3,3\n"
                 "0.35,60,7.333333333333333,3,3\n"
             ), threads
+            assert not (tmp_path / f"relaxation-{threads}.csv.manifest.json").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_no_workers_is_usage_error(self, threads, tmp_path):
-        pythonpath = [str(FIGURE_SCRIPT.parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
         out = tmp_path / "results"
         run = subprocess.run(
             [sys.executable, str(FIGURE_SCRIPT), "--out", str(out), "--threads", threads],
             capture_output=True,
             text=True,
-            env=env,
+            env=src_env(),
             timeout=60,
         )
         assert run.returncode == 2
@@ -488,12 +548,39 @@ class TestFigureScript:
         assert not out.exists()
 
 
+def src_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    pythonpath = [str(FIGURE_SCRIPT.parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
+
+
 def run_cli(*args):
     """Run ``python -m groupform.cli`` in a fresh interpreter with src on the path."""
-    pythonpath = [str(FIGURE_SCRIPT.parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
     command = [sys.executable, "-m", "groupform.cli", *args]
-    return subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run(command, capture_output=True, text=True, env=src_env(), timeout=60)
+
+
+def interrupt_after_first_point(command):
+    """Start ``command`` in its own process group, send the group a SIGINT, as a Ctrl-C does,
+    once the first ``[1/`` progress line is on stderr, and return (exit code, stderr).
+    The child starts with SIGINT's default action even if this process ignores it (as a
+    background job does), since Python raises ``KeyboardInterrupt`` only from that default."""
+    proc = subprocess.Popen(command, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                            env=src_env(), start_new_session=True,
+                            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    try:
+        lines = []
+        while not any("[1/" in line for line in lines):
+            line = proc.stderr.readline()
+            assert line, "".join(lines)
+            lines.append(line)
+        os.killpg(proc.pid, signal.SIGINT)
+        return proc.wait(timeout=60), "".join(lines) + proc.stderr.read()
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        proc.stderr.close()
 
 
 class TestProcess:
@@ -506,6 +593,32 @@ class TestProcess:
         assert run.stdout == ""
         assert run.stderr == "error: argument --threads: must be >= 1, got 0\n"
         assert not out.exists()
+
+    def test_ctrl_c_is_one_line_and_keeps_finished_points(self, tmp_path):
+        # long enough that the run is still going when the SIGINT arrives
+        payload = {"dims": [3000], "p_max": 0.96, "p_steps": 96, "samples": 200, "master_seed": 7}
+        config = write_json(tmp_path / "cfg.json", payload)
+        out = tmp_path / "d"
+        code, stderr = interrupt_after_first_point(
+            [sys.executable, "-m", "groupform.cli", "sweep", config, "--out", str(out), "--threads", "2"]
+        )
+        assert code == 130, stderr
+        assert "Traceback" not in stderr
+        progress = [line for line in stderr.splitlines() if line.startswith("[")]
+        assert stderr.splitlines() == progress + ["error: interrupted"]
+        rows = (out / "sweep.csv").read_text().count("\n")
+        assert (rows - 1) % 6 == 0 and rows > 6 * len(progress) >= 6
+        assert not (out / "manifest.json").exists()
+
+    def test_ctrl_c_stops_figure_script_with_one_line(self, tmp_path):
+        out = tmp_path / "results"
+        code, stderr = interrupt_after_first_point(
+            [sys.executable, str(FIGURE_SCRIPT), "--out", str(out), "--experiment", "density1d", "--threads", "2"]
+        )
+        assert code == 130, stderr
+        assert "Traceback" not in stderr
+        assert stderr.splitlines()[-1] == "error: interrupted"
+        assert not (out / "density_1d_m3000.csv.manifest.json").exists()
 
     @pytest.mark.parametrize("verb", [[], ["simulate"], ["sweep"], ["primitive"], ["verify"]])
     def test_help_exits_0(self, verb):
