@@ -1,4 +1,4 @@
-"""Command-line interface: simulate | sweep | primitive | verify.
+"""Command-line interface: simulate | sweep | primitive | verify | figures.
 
 Data goes to files or standard output; progress goes to standard error,
 so outputs are pipeline-safe. Exit codes: 0 success, 1 verification or
@@ -8,8 +8,8 @@ argparse type at parse time, so a bad one is a one-line usage error
 before any output exists. ``csv`` writes each float as its shortest
 round-trip decimal, so outputs are byte-stable.
 
-Every output file, of every command and of the figure script, is opened
-through ``output``, which writes a manifest JSON next to it with
+Every output file of every command, each figure dataset included, is
+opened through ``output``, which writes a manifest JSON next to it with
 everything needed to reproduce the file exactly. An earlier manifest is
 removed first and the new one is written last, so a manifest marks a
 complete output.
@@ -38,7 +38,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
-DEFAULT_WORKERS = os.cpu_count() or 1  # --threads of every command and script with a process pool
+DEFAULT_WORKERS = os.cpu_count() or 1  # --threads of every command with a process pool
 
 
 def at_least(low: int, high: int | None = None):
@@ -273,6 +273,79 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# figures
+
+MASTER_SEED = 20260810
+
+# samples per grid point, shared by every Monte Carlo dataset of a scale
+DEMO = {"samples": 300, "relax_sizes": (300, 1000, 3000, 10000)}
+FULL = {"samples": 10_000, "relax_sizes": (300, 500, 1000, 2000, 3000, 4000, 6000, 8000, 10_000)}
+
+
+def density(dims, samples):
+    """Q_r(p) curves: the `groupform sweep` grid p = 0..0.96 in 96 steps."""
+    config = SweepConfig(TorusShape(dims), p_max=0.96, p_steps=96, samples=samples, master_seed=MASTER_SEED)
+    return SWEEP_COLUMNS, sweep_rows, config.points()
+
+
+def relaxation(sizes):
+    """Mean n_st against torus size; every point keeps grid index 0."""
+    columns = ("p", "m", "mean_n_st", "settled", "samples")
+    points = [(TorusShape((m,)), p, 0) for p in (0.35, 0.6, 0.85) for m in sizes]
+    return columns, lambda s: [[s.p, s.total_cells, s.mean_n_st(), s.fixed_count, s.samples]], points
+
+
+def dense_2d():
+    """Per-size density tables for very dense 2D initial states."""
+    points = [(TorusShape((200, 200)), p, i) for i, p in enumerate((0.9, 0.99))]
+    return ("p", "r", "mean_Q"), lambda s: [[s.p, r, s.mean_q(r)] for r in sorted(s.count_sums)], points
+
+
+def datasets(scale):
+    """The Monte Carlo datasets of a scale, in run order: (experiment, file name, job)."""
+    samples = scale["samples"]
+    return [
+        ("density1d", "density_1d_m3000.csv", density((3000,), samples)),
+        ("density1d", "density_1d_m4000.csv", density((4000,), samples)),
+        ("relaxation", "relaxation_times.csv", relaxation(scale["relax_sizes"])),
+        ("density2d", "density_2d_100x150.csv", density((100, 150), samples)),
+        ("density2d", "density_2d_200x200.csv", density((200, 200), samples)),
+        ("dense2d", "dense_2d_histograms.csv", dense_2d()),
+    ]
+
+
+def write_dataset(path, job, samples, threads):
+    """Write ``job``, a ``(columns, rows, points)`` triple for ``write_points``, to ``path``
+    and, once it is complete, its manifest: the points, the samples per point and the seed."""
+    columns, rows, points = job
+    name, started = os.path.basename(path), time.time()
+
+    def progress(k, p, stats):
+        print(f"  {name} [{k + 1}/{len(points)}] p={p:.4f} cells={stats.total_cells} fixed={stats.fixed_count}",
+              file=sys.stderr, flush=True)
+
+    parameters = {"points": [[list(shape.dims), p, i] for shape, p, i in points], "samples": samples}
+    with output(path, "figures", parameters, MASTER_SEED) as out:
+        write_points(out, columns, rows, points, samples, MASTER_SEED,
+                     max_steps=None, workers=threads, progress=progress)
+    print(f"wrote {path} in {time.time() - started:.0f}s", file=sys.stderr, flush=True)
+
+
+def cmd_figures(args) -> int:
+    scale = FULL if args.scale == "full" else DEMO
+    os.makedirs(args.out, exist_ok=True)
+    if args.experiment in ("all", "onestep"):
+        # the file and manifest that `groupform primitive --seeds 100 --seed MASTER_SEED` writes
+        path = os.path.join(args.out, "onestep_densities.csv")
+        write_primitive_csv(path, 10_000, 1.0, 100, 100, MASTER_SEED)
+        print(f"wrote {path}", file=sys.stderr, flush=True)
+    for experiment, file_name, job in datasets(scale):
+        if args.experiment in ("all", experiment):
+            write_dataset(os.path.join(args.out, file_name), job, scale["samples"], args.threads)
+    return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
 # parser
 
 
@@ -280,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupform",
         description="Group-formation dynamics on discrete tori: evolve states, "
-        "sweep densities, validate the one-step model, verify invariants.",
+        "sweep densities, validate the one-step model, verify invariants, write the figure datasets.",
         exit_on_error=False,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -318,6 +391,15 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--scale", choices=("quick", "full"), default="quick")
     ver.add_argument("--threads", **workers, help="worker processes for the full-scale checks")
     ver.set_defaults(func=cmd_verify)
+
+    fig = add_command("figures", help="write the figure datasets, one CSV and manifest each")
+    fig.add_argument("--out", default="results", help="output directory (default results)")
+    fig.add_argument("--scale", choices=("demo", "full"), default="demo",
+                     help="samples per grid point: demo 300 (default), full 10000")
+    experiments = ("all", "onestep", *dict.fromkeys(experiment for experiment, _, _ in datasets(DEMO)))
+    fig.add_argument("--experiment", choices=experiments, default="all", help="datasets to write (default all)")
+    fig.add_argument("--threads", **workers, help="worker processes")
+    fig.set_defaults(func=cmd_figures)
 
     return parser
 

@@ -1,6 +1,5 @@
 import csv
 import hashlib
-import importlib.util
 import io
 import json
 import os
@@ -11,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import groupform.cli as cli
 from groupform import LatticeState, TorusShape, analytic_densities
 from groupform.cli import main
 from groupform.montecarlo import p_grid
@@ -152,8 +152,6 @@ class TestSimulate:
         assert manifest["master_seed"] == 0 and manifest["parameters"]["seed"] == 0
 
     def test_stopped_rerun_leaves_no_manifest(self, tmp_path, monkeypatch):
-        import groupform.cli as cli
-
         # a rerun into a complete run's --out removes its manifest before the first state is written
         out = tmp_path / "trajectory.jsonl"
         args = ["simulate", "--dims", "40", "--p", "0.8", "--seed", "2", "--out", str(out)]
@@ -381,8 +379,6 @@ class TestPrimitive:
         assert manifest["parameters"]["m"] == 50
 
     def test_stopped_rerun_leaves_no_manifest(self, tmp_path, monkeypatch):
-        import groupform.cli as cli
-
         out = tmp_path / "primitive.csv"
         args = ["primitive", "--m", "20", "--p-steps", "4", "--seeds", "2", "--out", str(out)]
         assert main(args) == 0
@@ -428,7 +424,7 @@ class TestPrimitive:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_pinned_stdout_bytes(self, capsys):
-        # recorded before the CSV writer was shared with the figure script
+        # recorded before the CSV writer was shared with the figure datasets
         assert main(["primitive", "--m", "50", "--p-steps", "4", "--seeds", "3", "--seed", "9"]) == 0
         assert capsys.readouterr().out == (
             "p,q1_analytic,q2_analytic,q3_analytic,q1_mc,q2_mc,q3_mc,q1_stderr,q2_stderr,q3_stderr\n"
@@ -444,35 +440,28 @@ class TestPrimitive:
         )
 
 
-FIGURE_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_figure_sweeps.py"
-
-
-@pytest.fixture
-def script():
-    spec = importlib.util.spec_from_file_location("run_figure_sweeps", FIGURE_SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestFigureScript:
-    def test_onestep_table_matches_primitive_command(self, script, tmp_path):
-        script.onestep_table(str(tmp_path / "onestep.csv"), seeds=2)
-        args = ["primitive", "--m", "10000", "--p-max", "1.0", "--p-steps", "100", "--seeds", "2"]
+    def test_onestep_table_matches_primitive_command(self, tmp_path, monkeypatch):
+        # a stand-in sampler whose rows spell out its arguments keeps the 100-replica table cheap
+        monkeypatch.setattr(cli, "replica_densities", lambda m, p, i, seeds, seed: ((m, i, seeds), (seed, p, 0)))
+        assert main(["figures", "--out", str(tmp_path), "--experiment", "onestep"]) == 0
+        args = ["primitive", "--m", "10000", "--p-max", "1.0", "--p-steps", "100", "--seeds", "100"]
         assert main(args + ["--seed", "20260810", "--out", str(tmp_path / "cli.csv")]) == 0
-        assert (tmp_path / "onestep.csv").read_bytes() == (tmp_path / "cli.csv").read_bytes()
-        script_manifest = json.loads((tmp_path / "onestep.csv.manifest.json").read_text())
+        onestep = tmp_path / "onestep_densities.csv"
+        assert onestep.read_bytes() == (tmp_path / "cli.csv").read_bytes()
+        figures_manifest = json.loads((tmp_path / "onestep_densities.csv.manifest.json").read_text())
         cli_manifest = json.loads((tmp_path / "cli.csv.manifest.json").read_text())
-        assert script_manifest["parameters"] == cli_manifest["parameters"]
-        assert script_manifest["master_seed"] == cli_manifest["master_seed"] == script.MASTER_SEED
-        assert script_manifest["outputs"] == [str(tmp_path / "onestep.csv")]
+        assert figures_manifest["command"] == "primitive"
+        assert figures_manifest["parameters"] == cli_manifest["parameters"]
+        assert figures_manifest["master_seed"] == cli_manifest["master_seed"] == cli.MASTER_SEED
+        assert figures_manifest["outputs"] == [str(onestep)]
 
     # recorded before the CSV writers stopped formatting floats themselves;
     # each dataset is one sample_points job, run serially and on a pool
-    def test_pinned_relaxation_curves(self, script, tmp_path):
+    def test_pinned_relaxation_curves(self, tmp_path):
         for threads in (1, 2):
             path = tmp_path / f"relaxation-{threads}.csv"
-            script.write_dataset(str(path), script.relaxation((30, 60)), samples=3, threads=threads)
+            cli.write_dataset(str(path), cli.relaxation((30, 60)), samples=3, threads=threads)
             assert path.read_text() == (
                 "p,m,mean_n_st,settled,samples\n"
                 "0.35,30,2.3333333333333335,3,3\n"
@@ -483,10 +472,10 @@ class TestFigureScript:
                 "0.85,60,29.0,2,3\n"
             ), threads
 
-    def test_pinned_dense_2d_histograms(self, script, tmp_path):
+    def test_pinned_dense_2d_histograms(self, tmp_path):
         for threads in (1, 2):
             path = tmp_path / f"dense-{threads}.csv"
-            script.write_dataset(str(path), script.dense_2d(), samples=2, threads=threads)
+            cli.write_dataset(str(path), cli.dense_2d(), samples=2, threads=threads)
             lines = path.read_text().splitlines()
             assert lines[:3] == ["p,r,mean_Q", "0.9,1,0.018175", "0.9,2,0.0151"]
             assert "0.9,34,8.75e-05" in lines and lines[-1] == "0.99,61,1.25e-05"
@@ -495,36 +484,37 @@ class TestFigureScript:
                 "c53e7f5e4e19147a05fe81262d5fed4a3251642b6404707a44696406254ad37b"
             ), threads
 
-    def test_density_dataset_matches_sweep_command(self, script, tmp_path):
+    def test_density_dataset_matches_sweep_command(self, tmp_path):
         payload = {"dims": [30], "p_max": 0.96, "p_steps": 96, "samples": 3, "master_seed": 20260810}
         config = write_json(tmp_path / "config.json", payload)
         for threads in (1, 2):
             path = tmp_path / f"density-{threads}.csv"
-            script.write_dataset(str(path), script.density((30,), 3), samples=3, threads=threads)
+            cli.write_dataset(str(path), cli.density((30,), 3), samples=3, threads=threads)
             out = tmp_path / f"cli-{threads}"
             assert main(["sweep", config, "--out", str(out), "--threads", str(threads)]) == 0
             assert path.read_bytes() == (out / "sweep.csv").read_bytes(), threads
 
-    def test_dataset_manifest_records_points_samples_and_seed(self, script, tmp_path):
+    def test_dataset_manifest_records_points_samples_and_seed(self, tmp_path):
         path = tmp_path / "relaxation.csv"
-        script.write_dataset(str(path), script.relaxation((30, 60)), samples=3, threads=1)
+        cli.write_dataset(str(path), cli.relaxation((30, 60)), samples=3, threads=1)
         manifest = json.loads((tmp_path / "relaxation.csv.manifest.json").read_text())
         assert manifest["outputs"] == [str(path)]
         assert manifest["parameters"] == {
             "points": [[[m], p, 0] for p in (0.35, 0.6, 0.85) for m in (30, 60)],
             "samples": 3,
         }
-        assert manifest["master_seed"] == script.MASTER_SEED
+        assert manifest["master_seed"] == cli.MASTER_SEED
+        assert manifest["command"] == "figures"
 
-    def test_stopped_dataset_keeps_finished_points(self, script, tmp_path, monkeypatch):
+    def test_stopped_dataset_keeps_finished_points(self, tmp_path, monkeypatch):
         for threads in (1, 2):
             # each stopped run reuses the file of a complete one, whose manifest it removes
             path = tmp_path / f"relaxation-{threads}.csv"
             monkeypatch.setattr(sys, "stderr", io.StringIO())
-            script.write_dataset(str(path), script.relaxation((30, 60)), samples=3, threads=threads)
+            cli.write_dataset(str(path), cli.relaxation((30, 60)), samples=3, threads=threads)
             monkeypatch.setattr(sys, "stderr", StopAfterLines(2))
             with pytest.raises(Stopped):
-                script.write_dataset(str(path), script.relaxation((30, 60)), samples=3, threads=threads)
+                cli.write_dataset(str(path), cli.relaxation((30, 60)), samples=3, threads=threads)
             assert path.read_text() == (
                 "p,m,mean_n_st,settled,samples\n"
                 "0.35,30,2.3333333333333335,3,3\n"
@@ -532,25 +522,31 @@ class TestFigureScript:
             ), threads
             assert not (tmp_path / f"relaxation-{threads}.csv.manifest.json").exists()
 
-    @pytest.mark.parametrize("threads", ["0", "-1"])
-    def test_no_workers_is_usage_error(self, threads, tmp_path):
+    @pytest.mark.parametrize("flags", [["--threads", "0"], ["--threads", "-1"], ["--experiment", "nope"]],
+                             ids=["0", "-1", "nope"])
+    def test_no_workers_is_usage_error(self, flags, tmp_path):
         out = tmp_path / "results"
-        run = subprocess.run(
-            [sys.executable, str(FIGURE_SCRIPT), "--out", str(out), "--threads", threads],
-            capture_output=True,
-            text=True,
-            env=src_env(),
-            timeout=60,
-        )
+        run = run_cli("figures", "--out", str(out), *flags)
         assert run.returncode == 2
         assert run.stdout == ""
-        assert "--threads" in run.stderr.splitlines()[-1]
+        assert run.stderr.count("\n") == 1 and run.stderr.startswith("error:")
+        assert flags[0] in run.stderr.splitlines()[-1]
         assert not out.exists()
+
+    def test_out_is_a_file_is_usage_error(self, tmp_path):
+        out = tmp_path / "results"
+        out.write_text("not a directory\n")
+        run = run_cli("figures", "--out", str(out), "--experiment", "onestep")
+        assert run.returncode == 2
+        assert run.stdout == ""
+        assert run.stderr.count("\n") == 1 and run.stderr.startswith("error:")
+        assert str(out) in run.stderr
+        assert out.read_text() == "not a directory\n"
 
 
 def src_env():
     """The environment with this checkout's src first on PYTHONPATH."""
-    pythonpath = [str(FIGURE_SCRIPT.parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    pythonpath = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, pythonpath))}
 
 
@@ -613,14 +609,15 @@ class TestProcess:
     def test_ctrl_c_stops_figure_script_with_one_line(self, tmp_path):
         out = tmp_path / "results"
         code, stderr = interrupt_after_first_point(
-            [sys.executable, str(FIGURE_SCRIPT), "--out", str(out), "--experiment", "density1d", "--threads", "2"]
+            [sys.executable, "-m", "groupform.cli", "figures", "--out", str(out), "--experiment", "density1d",
+             "--threads", "2"]
         )
         assert code == 130, stderr
         assert "Traceback" not in stderr
         assert stderr.splitlines()[-1] == "error: interrupted"
         assert not (out / "density_1d_m3000.csv.manifest.json").exists()
 
-    @pytest.mark.parametrize("verb", [[], ["simulate"], ["sweep"], ["primitive"], ["verify"]])
+    @pytest.mark.parametrize("verb", [[], ["simulate"], ["sweep"], ["primitive"], ["verify"], ["figures"]])
     def test_help_exits_0(self, verb):
         run = run_cli(*verb, "--help")
         assert run.returncode == 0
@@ -630,8 +627,6 @@ class TestProcess:
 
 class TestVerify:
     def test_pass_and_fail_exit_codes(self, monkeypatch, capsys):
-        import groupform.cli as cli
-
         monkeypatch.setattr(cli, "quick_checks", lambda: [CheckResult("demo-check", True, "fine", 0.01)])
         assert main(["verify", "--scale", "quick", "--threads", "3"]) == 0
         assert "PASS demo-check" in capsys.readouterr().out
@@ -642,8 +637,6 @@ class TestVerify:
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_no_workers_is_usage_error(self, monkeypatch, threads, capsys):
-        import groupform.cli as cli
-
         def unreachable():
             raise AssertionError("checks ran despite a bad --threads")
 
