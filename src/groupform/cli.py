@@ -408,8 +408,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (argparse.ArgumentError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (argparse.ArgumentError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)

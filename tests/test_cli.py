@@ -142,6 +142,29 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err == "error: give either --state or --dims/--p/--seed, not both\n"
 
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (
+                MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"),
+                "error: Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)\n",
+            ),
+            (MemoryError(), "error: MemoryError\n"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_allocation_failure_is_usage_error(self, exc, line, monkeypatch, tmp_path, capsys):
+        # a stand-in for the draw: a real allocation this size may be granted by an overcommitting host
+        def unallocatable(shape, p, seed):
+            raise exc
+
+        monkeypatch.setattr(cli, "bernoulli_state", unallocatable)
+        out = tmp_path / "trajectory.jsonl"
+        assert main(["simulate", "--dims", "1000000,1000000", "--p", "0.5", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", line)
+        assert not out.exists()
+
     def test_random_state_defaults_to_seed_zero(self, tmp_path):
         args = ["simulate", "--dims", "12", "--p", "0.5"]
         assert main(args + ["--out", str(tmp_path / "default.jsonl")]) == 0

@@ -1,9 +1,10 @@
-"""Pinned outputs of the property checks in ``groupform.verify``.
+"""Pinned inputs and outputs of the checks in ``groupform.verify``.
 
-The digests and detail strings below were recorded when the property
-checks moved to one seeded stream per dimension; any change to which
-random states a check draws, in what order, or how it reports them
-changes these.
+The digests and detail strings of the property checks were recorded when
+they moved to one seeded stream per dimension; any change to which random
+states a check draws, in what order, or how it reports them changes
+these. The statistical checks' points, sample counts and seeds are pinned
+as literals, so that none of them shrinks unnoticed.
 """
 
 import hashlib
@@ -13,6 +14,7 @@ import pytest
 
 from groupform import LatticeState, verify
 from groupform.dynamics import conserved_state
+from groupform.montecarlo import GridPointStats
 
 N_STATES = 101
 
@@ -98,6 +100,62 @@ UNDER_DROPPING_STEP = {
     "reflection-equivariance": _LOST + "[3, 1, 0, 1, 3, 2, 3, 2, 3, 0, 2, 3, 2, 1, 0]",
 }
 
+# check name -> (points as (torus dims, p, grid index), samples per point,
+# seed), in the order ``full_checks`` runs them
+SAMPLED = {
+    "relaxation-time-m3000": ([((3000,), 0.8, 0)], 2000, 1007),
+    "relaxation-time-m4000": ([((4000,), 0.8, 0)], 2000, 1007),
+    "q2-dominance": (
+        [((3000,), 0.7, 0), ((3000,), 0.75, 1), ((3000,), 0.8, 2),
+         ((3000,), 0.85, 3), ((3000,), 0.9, 4), ((3000,), 0.95, 5)],
+        1000,
+        1008,
+    ),
+    "m-insensitivity": ([((300,), 0.6, 0), ((3000,), 0.6, 0)], 2000, 1009),
+    "steady-prevalence": (
+        [((3000,), 0.5, 0), ((3000,), 0.8, 1), ((3000,), 0.9, 2), ((3000,), 0.95, 3)],
+        2000,
+        1010,
+    ),
+    "2d-density-spread": ([((200, 200), 0.9, 0), ((3000,), 0.9, 1)], 500, 1011),
+}
+
+
+def _point(p, total_cells, samples, **sums):
+    """Hand-built stats for one grid point; ``fixed_count`` defaults to ``samples``."""
+    sums.setdefault("fixed_count", samples)
+    return GridPointStats(p=p, grid_index=0, total_cells=total_cells, samples=samples, **sums)
+
+
+# check name -> (hand-built stats, the verdict's (passed, detail))
+FAILING = {
+    "relaxation-time-m3000": (
+        [_point(0.8, 3000, 10, n_st_sum=450)],
+        "mean n_st = 45.00 over 10 settled samples (expected 50.0 +/- 2.0)",
+    ),
+    "relaxation-time-m4000": (
+        [_point(0.8, 4000, 10, fixed_count=8, periodic_count=2, n_st_sum=400)],
+        "mean n_st = 50.00 over 8 settled samples (expected 52.5 +/- 2.0)",
+    ),
+    "m-insensitivity": (
+        [_point(0.6, 300, 4, count_sums={1: 120, 2: 60}),
+         _point(0.6, 3000, 4, count_sums={1: 1200, 2: 840})],
+        "|Q_r(M=300) - Q_r(M=3000)| at p=0.6: r=1: 0.0000, r=2: 0.0200",
+    ),
+    "steady-prevalence": (
+        [_point(0.5, 3000, 100),
+         _point(0.8, 3000, 100, fixed_count=98, periodic_count=2),
+         _point(0.9, 3000, 100, fixed_count=97, periodic_count=1, unresolved_count=2),
+         _point(0.95, 3000, 100, fixed_count=97, periodic_count=3)],
+        "worst non-settling fraction 0.0300 at p=0.9 (100 samples per p, M=3000)",
+    ),
+    "2d-density-spread": (
+        [_point(0.9, 40_000, 1, count_sums={1: 4000, 2: 8000}),
+         _point(0.9, 3000, 1, count_sums={1: 300, 2: 300, 3: 150, 4: 150})],
+        "Q_1..Q_4 spread at p=0.9: 2D 0.2000 vs 1D 0.0500",
+    ),
+}
+
 _real_step = verify.step
 
 
@@ -130,6 +188,18 @@ def _dropping_at_15(state):
 
 def test_every_property_is_pinned():
     assert sorted(DRAWN) == sorted(verify.PROPERTIES)
+
+
+def test_every_statistic_is_pinned():
+    rows = [(name, points, samples, seed) for name, (points, samples, seed, _) in verify.STATISTICS.items()]
+    assert rows == [(name, *row) for name, row in SAMPLED.items()]
+
+
+@pytest.mark.parametrize("name", sorted(FAILING))
+def test_statistic_fail_detail(name):
+    stats, detail = FAILING[name]
+    *_, verdict = verify.STATISTICS[name]
+    assert verdict(stats) == (False, detail)
 
 
 # the ids are the names these cases ran under while each property check
@@ -176,10 +246,13 @@ def test_mass_fault_is_a_failure(monkeypatch):
         assert (result.passed, result.detail) == (False, UNDER_DROPPING_STEP[name]), name
 
 
-def test_q2_dominance_detail_and_one_pool(recording_pool):
+def test_q2_dominance_detail_and_one_pool(monkeypatch, recording_pool):
     # recorded while each grid point still built a pool of its own
     built, maps = recording_pool
-    result = verify.check_q2_dominance(m=30, samples=8, workers=2)
+    points, _, seed, verdict = verify.STATISTICS["q2-dominance"]
+    small = [((30,), p, grid_index) for _, p, grid_index in points]
+    monkeypatch.setitem(verify.STATISTICS, "q2-dominance", (small, 8, seed, verdict))
+    result = verify.check_statistic("q2-dominance", workers=2)
     assert (result.passed, result.detail) == (False, "at p=0.95: Q_2=0.0000 not above Q_1=1.0000")
     assert len(built) == 1
     assert len(maps) == 6
