@@ -16,13 +16,10 @@ from .montecarlo import (
     GridPointStats,
     SampleResult,
     SweepConfig,
-    SweepResult,
     bernoulli_state,
     measure,
     mix_seed,
     run_sample,
-    run_sweep,
-    sample_grid_point,
     sample_points,
 )
 from .primitive import analytic_densities, simulate_primitive
@@ -35,7 +32,6 @@ __all__ = [
     "OutcomeKind",
     "SampleResult",
     "SweepConfig",
-    "SweepResult",
     "TorusShape",
     "TrajectoryOutcome",
     "analytic_densities",
@@ -46,8 +42,6 @@ __all__ = [
     "measure",
     "mix_seed",
     "run_sample",
-    "run_sweep",
-    "sample_grid_point",
     "sample_points",
     "simulate_primitive",
     "step",

@@ -45,28 +45,32 @@ def _build(library: Path) -> None:
 
     gcc writes a temporary file in the same directory, which is then
     renamed into place, so processes importing at once never load a
-    partly written library.
+    partly written library. Any failure, including a directory that
+    cannot be written, is an ``ImportError``.
     """
     import subprocess
     import tempfile
 
-    fd, partial = tempfile.mkstemp(prefix=library.name + ".", suffix=".tmp", dir=library.parent)
-    os.close(fd)
     try:
+        fd, partial = tempfile.mkstemp(prefix=library.name + ".", suffix=".tmp", dir=library.parent)
+        os.close(fd)
         try:
-            done = subprocess.run(
-                [*_COMPILE, "-o", partial, str(_SOURCE)],
-                capture_output=True, text=True,
-            )
-        except FileNotFoundError as exc:
-            raise ImportError(f"building {library.name} needs gcc, which is not on PATH") from exc
-        if done.returncode != 0:
-            raise ImportError(f"gcc failed to build {library.name} from {_SOURCE}:\n{done.stderr}")
-        os.chmod(partial, 0o755)  # mkstemp creates the file readable by its owner only
-        os.replace(partial, library)
-    finally:
-        if os.path.exists(partial):
-            os.unlink(partial)
+            try:
+                done = subprocess.run(
+                    [*_COMPILE, "-o", partial, str(_SOURCE)],
+                    capture_output=True, text=True,
+                )
+            except FileNotFoundError as exc:
+                raise ImportError(f"building {library.name} needs gcc, which is not on PATH") from exc
+            if done.returncode != 0:
+                raise ImportError(f"gcc failed to build {library.name} from {_SOURCE}:\n{done.stderr}")
+            os.chmod(partial, 0o755)  # mkstemp creates the file readable by its owner only
+            os.replace(partial, library)
+        finally:
+            if os.path.exists(partial):
+                os.unlink(partial)
+    except OSError as exc:
+        raise ImportError(f"cannot build {library.name} in {library.parent}: {exc}") from exc
 
 
 def _load_tick():

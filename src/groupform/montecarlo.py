@@ -9,7 +9,8 @@ matter how the samples are scheduled across workers.
 
 Every aggregate (a p-grid sweep, a statistical check, a figure dataset)
 is a list of ``(shape, p, grid_index)`` points run by ``sample_points``,
-the one runner, which owns the only process pool.
+the one runner, which owns the only process pool. The block of benchmark
+hooks at the end of the module wraps it for ``perfbench/`` only.
 
 Per-sample seeds come from a fixed avalanche-quality 64-bit mix of
 (master_seed, grid_index, sample_index), so any sample can be re-run in
@@ -227,7 +228,7 @@ class SweepConfig:
         """The sweep's ``(shape, p, grid_index)`` points, in grid order."""
         return [(self.shape, p, i) for i, p in enumerate(self.p_values())]
 
-    def resolved_max_steps(self) -> int:
+    def resolved_max_steps(self) -> int:  # a benchmark hook, see the module's end
         return self.max_steps if self.max_steps is not None else default_max_steps(self.shape)
 
     def to_json_dict(self) -> dict:
@@ -249,11 +250,6 @@ class SweepConfig:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"sweep config field 'dims' invalid: {exc}") from exc
         return cls(shape, **{key: value for key, value in data.items() if key != "dims"})
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    points: list[GridPointStats]
 
 
 def _sample_block(args) -> GridPointStats:
@@ -314,6 +310,18 @@ def sample_points(
             if progress is not None:
                 progress(k, p, stats)
     return results
+
+
+# -- benchmark hooks --
+# ``perfbench/`` calls or patches these as ``montecarlo.<name>``, and reads
+# ``SweepConfig.resolved_max_steps``; the library does not use them. They
+# are deleted once the benchmark runs ``sample_points`` itself (the
+# ROADMAP's "One public runner" item).
+
+
+@dataclass(frozen=True)
+class SweepResult:
+    points: list[GridPointStats]
 
 
 def sample_grid_point(

@@ -8,9 +8,13 @@ import os
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
+import pytest
+
 import groupform
+from groupform.dynamics import _build
 
 PACKAGE = Path(groupform.__file__).parent
 IMPORT = "import groupform; print(groupform.__file__)"
@@ -98,3 +102,56 @@ def test_changed_compile_flags_build_a_second_library(tmp_path):
     assert done.returncode == 0, done.stderr
     (second,) = set(built_files(copy)) - {first}
     assert second.startswith("_tick_") and second.endswith(".so")
+
+
+def test_unwritable_target_is_an_import_error_naming_its_directory(tmp_path):
+    # a directory path under a regular file cannot be written, by root either
+    not_a_directory = tmp_path / "file"
+    not_a_directory.write_text("")
+    with pytest.raises(ImportError, match=r"cannot build _tick_0123456789abcdef\.so in ") as info:
+        _build(not_a_directory / "_tick_0123456789abcdef.so")
+    assert str(not_a_directory) in str(info.value)
+    assert isinstance(info.value.__cause__, NotADirectoryError)
+
+
+# step against step_oracle on seeded states, the displacement near 2**63 and
+# a merge above 2**63 - 1, run by the package copy under test
+UNDER_SANITIZER = textwrap.dedent("""
+    import numpy as np
+    from groupform import LatticeState, TorusShape, step, step_oracle
+    from groupform.dynamics import _COMPILE, tick_kernel
+
+    assert "-fsanitize=undefined" in _COMPILE
+    rng = np.random.default_rng(2026)
+    for k in range(300):
+        dims = tuple(int(d) for d in (rng.integers(3, 13, 1) if k % 2 else rng.integers(3, 7, 2)))
+        values = rng.integers(0, 5, dims)
+        if k % 10 == 0:  # one group near 2**63 and one unit group
+            values[:] = 0
+            values.flat[rng.choice(values.size, 2, replace=False)] = (2**63 - 2, 1)
+        state = LatticeState(TorusShape(dims), values)
+        assert step(state) == step_oracle(state), (dims, values.tolist())
+    x = 2**62 + 3
+    try:
+        tick_kernel(TorusShape((5,)))(np.array([x, x, 0, 0, 0], dtype=np.int64))
+    except OverflowError:
+        pass
+    else:
+        raise AssertionError("a merge above 2**63 - 1 did not overflow")
+""")
+
+
+def test_tick_runs_clean_under_undefined_behaviour_sanitizer(tmp_path):
+    # the added flags change the library's name, so this builds its own
+    copy = package_copy(tmp_path)
+    dynamics = copy / "dynamics.py"
+    source = dynamics.read_text()
+    assert source.count('"-fPIC")') == 1
+    dynamics.write_text(source.replace('"-fPIC")', '"-fPIC", "-fsanitize=undefined", "-fno-sanitize-recover=undefined")'))
+    env = dict(os.environ, PYTHONPATH=str(copy.parent), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-c", UNDER_SANITIZER], env=env, cwd=copy.parent,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "runtime error" not in done.stderr

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from groupform import SweepConfig, TorusShape, run_sweep
+from groupform import SweepConfig, TorusShape, sample_points
 from groupform.cli import main
 
 ONEDIM = dict(dims=[300], p_max=0.8, p_steps=4, samples=20, master_seed=2112)
@@ -96,7 +96,8 @@ p,r,mean_Q,stderr_Q,mean_N_st,fixed_count,periodic_count,unresolved_count,sample
 
 
 def _aggregate(payload):
-    result = run_sweep(SweepConfig.from_json_dict(payload))
+    config = SweepConfig.from_json_dict(payload)
+    points = sample_points(config.points(), config.samples, config.master_seed, config.max_steps)
     return [
         (
             s.samples,
@@ -110,7 +111,7 @@ def _aggregate(payload):
             s.tail_sum,
             s.tail_sq_sum,
         )
-        for s in result.points
+        for s in points
     ]
 
 

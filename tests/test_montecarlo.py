@@ -12,9 +12,8 @@ from groupform import (
     default_max_steps,
     measure,
     mix_seed,
+    montecarlo,
     run_sample,
-    run_sweep,
-    sample_grid_point,
     sample_points,
 )
 from groupform.montecarlo import p_grid
@@ -185,41 +184,6 @@ class TestGridPointStats:
         assert np.isnan(stats.mean_n_st())
 
 
-class TestSampleGridPoint:
-    def test_worker_count_does_not_change_result(self):
-        shape = TorusShape((48,))
-        serial = sample_grid_point(shape, 0.7, 40, master_seed=77, workers=1)
-        parallel = sample_grid_point(shape, 0.7, 40, master_seed=77, workers=2)
-        assert serial == parallel
-
-    @pytest.mark.parametrize("workers", [0, -1])
-    def test_no_workers_rejected(self, workers):
-        with pytest.raises(ValueError, match="worker count"):
-            sample_grid_point(TorusShape((30,)), 0.5, 10, master_seed=3, workers=workers)
-
-    @pytest.mark.parametrize("samples", [0, -3])
-    def test_no_samples_rejected(self, samples):
-        with pytest.raises(ValueError, match="samples"):
-            sample_grid_point(TorusShape((30,)), 0.5, samples, master_seed=3)
-
-    def test_master_seed_outside_64_bits_rejected(self, recording_pool):
-        built, _ = recording_pool
-        for workers in (1, 2):
-            with pytest.raises(ValueError, match="master_seed"):
-                sample_grid_point(TorusShape((30,)), 0.7, 6, master_seed=-1, workers=workers)
-        assert built == []  # the seed is checked before the pool starts
-
-    def test_counts_partition_samples(self):
-        stats = sample_grid_point(TorusShape((30,)), 0.9, 25, master_seed=3)
-        assert stats.fixed_count + stats.periodic_count + stats.unresolved_count == 25
-        assert stats.samples == 25
-
-    def test_aggregate_mass_identity(self):
-        stats = sample_grid_point(TorusShape((30,)), 0.8, 50, master_seed=9)
-        recovered = sum(r * c for r, c in stats.count_sums.items())
-        assert recovered == stats.fixed_initial_mass_sum
-
-
 class TestSamplePoints:
     # mixed 1D/2D points with repeated grid indices, shaped like the
     # statistical checks' jobs (a 2D and a 1D point at one p, two sizes
@@ -233,11 +197,13 @@ class TestSamplePoints:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_equals_per_point_results(self, workers):
-        expected = [
-            sample_grid_point(shape, p, 10, master_seed=41, grid_index=g, workers=workers)
-            for shape, p, g in self.POINTS
-        ]
+        expected = [sample_points([point], 10, master_seed=41, workers=workers)[0] for point in self.POINTS]
         assert sample_points(self.POINTS, 10, master_seed=41, workers=workers) == expected
+
+    def test_worker_count_does_not_change_result(self):
+        point = [(TorusShape((48,)), 0.7, 0)]
+        serial = sample_points(point, 40, master_seed=77, workers=1)
+        assert sample_points(point, 40, master_seed=77, workers=2) == serial
 
     def test_progress_once_per_point_in_order(self):
         seen = []
@@ -265,14 +231,44 @@ class TestSamplePoints:
         with pytest.raises(ValueError, match="samples"):
             sample_points(self.POINTS, samples, master_seed=41)
 
-    def test_grid_index_outside_64_bits_rejected(self, recording_pool):
+    @pytest.mark.parametrize(
+        "grid_indices, master_seed, name",
+        [
+            ([0], -1, "master_seed"),
+            # the bad point comes last, so every point is checked before any runs
+            ([0, -1], 5, "grid_index"),
+        ],
+        ids=["master_seed", "grid_index"],
+    )
+    def test_seed_outside_64_bits_rejected(self, recording_pool, grid_indices, master_seed, name):
         built, _ = recording_pool
-        # the bad point comes last, so every point is checked before any runs
-        points = [(TorusShape((30,)), 0.7, 0), (TorusShape((30,)), 0.7, -1)]
+        points = [(TorusShape((30,)), 0.7, g) for g in grid_indices]
         for workers in (1, 2):
-            with pytest.raises(ValueError, match="grid_index"):
-                sample_points(points, 4, 5, workers=workers)
-        assert built == []
+            with pytest.raises(ValueError, match=name):
+                sample_points(points, 4, master_seed, workers=workers)
+        assert built == []  # the seed is checked before the pool starts
+
+    def test_counts_partition_samples(self):
+        (stats,) = sample_points([(TorusShape((30,)), 0.9, 0)], 25, master_seed=3)
+        assert stats.fixed_count + stats.periodic_count + stats.unresolved_count == 25
+        assert stats.samples == 25
+
+    def test_aggregate_mass_identity(self):
+        (stats,) = sample_points([(TorusShape((30,)), 0.8, 0)], 50, master_seed=9)
+        recovered = sum(r * c for r, c in stats.count_sums.items())
+        assert recovered == stats.fixed_initial_mass_sum
+
+    def test_overflow_diagnostic_names_sample(self, monkeypatch):
+        real = montecarlo.run_sample
+
+        def poisoned(shape, p, sample_seed, max_steps=None):
+            if sample_seed == mix_seed(41, 1, 3):
+                raise OverflowError("synthetic")
+            return real(shape, p, sample_seed, max_steps)
+
+        monkeypatch.setattr(montecarlo, "run_sample", poisoned)
+        with pytest.raises(OverflowError, match=r"grid_index=1.*sample_index=3"):
+            sample_points(self.POINTS, 4, master_seed=41)
 
 
 class TestSweepConfig:
@@ -305,7 +301,7 @@ class TestSweepConfig:
             self._config(samples=0)
         with pytest.raises(ValueError):
             self._config(max_steps=0)
-        # a float count would fail later, in p_values() or in run_sweep
+        # a float count would fail later, in p_values() or in sample_points
         for field, value in (("p_steps", 2.5), ("max_steps", 2.5)):
             with pytest.raises(ValueError, match=field):
                 self._config(**{field: value})
@@ -344,60 +340,44 @@ class TestSweepConfig:
 
 
 class TestRunSweep:
-    def _config(self):
-        return SweepConfig(
+    """A p-grid sweep as ``groupform sweep`` runs it: the config's points
+    through ``sample_points``."""
+
+    def _run(self):
+        config = SweepConfig(
             shape=TorusShape((24,)),
             p_max=0.8,
             p_steps=2,
             samples=12,
             master_seed=2024,
         )
+        return sample_points(config.points(), config.samples, config.master_seed, config.max_steps)
 
     def test_reproducible(self):
-        first = run_sweep(self._config())
-        second = run_sweep(self._config())
-        assert first.points == second.points
+        assert self._run() == self._run()
 
     def test_point_structure(self):
-        result = run_sweep(self._config())
-        assert [round(pt.p, 6) for pt in result.points] == [0.0, 0.4, 0.8]
-        for pt in result.points:
+        points = self._run()
+        assert [round(pt.p, 6) for pt in points] == [0.0, 0.4, 0.8]
+        for pt in points:
             assert pt.samples == 12
             assert pt.fixed_count + pt.periodic_count + pt.unresolved_count == 12
-        assert result.points[0].fixed_count == 12  # empty states settle instantly
-        assert result.points[0].mean_q(1) == 0.0
-
-    def test_progress_callback(self):
-        seen = []
-        run_sweep(self._config(), progress=lambda i, p, stats: seen.append((i, p)))
-        assert seen == [(0, 0.0), (1, 0.4), (2, 0.8)]
-
-    def test_overflow_diagnostic_names_sample(self, monkeypatch):
-        import groupform.montecarlo as mc
-
-        real = mc.run_sample
-
-        def poisoned(shape, p, sample_seed, max_steps=None):
-            if sample_seed == mix_seed(2024, 1, 3):
-                raise OverflowError("synthetic")
-            return real(shape, p, sample_seed, max_steps)
-
-        monkeypatch.setattr(mc, "run_sample", poisoned)
-        with pytest.raises(OverflowError, match=r"grid_index=1.*sample_index=3"):
-            run_sweep(self._config())
+        assert points[0].fixed_count == 12  # empty states settle instantly
+        assert points[0].mean_q(1) == 0.0
 
 
 class TestBenchmarkHooks:
-    """The benchmark tracer swaps in its own ``montecarlo.Pool`` and reads
-    ``SweepConfig.resolved_max_steps``; the library itself needs neither
-    hook, so these tests keep them working."""
+    """The benchmark runs ``montecarlo.run_sweep``, wraps
+    ``montecarlo.sample_grid_point``, swaps in its own ``montecarlo.Pool``
+    and reads ``SweepConfig.resolved_max_steps``; the library itself needs
+    none of these hooks, so these tests keep them working."""
 
     def test_sweep_pool_looked_up_at_call_time(self, recording_pool):
         built, maps = recording_pool
         config = SweepConfig(TorusShape((24,)), p_max=0.8, p_steps=2, samples=12, master_seed=2024)
-        serial = run_sweep(config, workers=1)
+        serial = montecarlo.run_sweep(config, workers=1)
         assert built == [] and maps == []
-        pooled = run_sweep(config, workers=2)
+        pooled = montecarlo.run_sweep(config, workers=2)
         assert len(built) == 1
         assert len(maps) == len(config.p_values()) == 3
         assert pooled.points == serial.points
@@ -407,6 +387,11 @@ class TestBenchmarkHooks:
         assert SweepConfig(shape, 0.5, 2, 4, 0).resolved_max_steps() == default_max_steps(shape)
         assert SweepConfig(shape, 0.5, 2, 4, 0, max_steps=9).resolved_max_steps() == 9
 
+    def test_sample_grid_point_is_a_one_point_run(self):
+        shape = TorusShape((30,))
+        hook = montecarlo.sample_grid_point(shape, 0.7, 10, master_seed=41, grid_index=2, workers=2)
+        assert hook == sample_points([(shape, 0.7, 2)], 10, master_seed=41)[0]
+
 
 class TestDensityCurveShape:
     def test_qualitative_shape(self):
@@ -414,10 +399,8 @@ class TestDensityCurveShape:
         # peak and then falls, and every density vanishes as p -> 0
         shape = TorusShape((300,))
         grid = (0.05, 0.1, 0.35, 0.8)
-        stats = {
-            p: sample_grid_point(shape, p, 500, master_seed=5150, grid_index=i, workers=1)
-            for i, p in enumerate(grid)
-        }
+        points = [(shape, p, i) for i, p in enumerate(grid)]
+        stats = dict(zip(grid, sample_points(points, 500, master_seed=5150)))
         for p in (0.1, 0.35):
             q1 = stats[p].mean_q(1)
             assert all(q1 > stats[p].mean_q(r) for r in (2, 3, 4))
@@ -426,5 +409,5 @@ class TestDensityCurveShape:
         sparse = stats[0.05]
         assert sparse.mean_q(1) < 0.07
         assert all(sparse.mean_q(r) < 0.01 for r in (2, 3, 4))
-        empty = sample_grid_point(shape, 0.0, 20, master_seed=5150, grid_index=9)
+        (empty,) = sample_points([(shape, 0.0, 9)], 20, master_seed=5150)
         assert all(empty.mean_q(r) == 0.0 for r in (1, 2, 3, 4))
