@@ -32,7 +32,8 @@ from enum import Enum
 
 import numpy as np
 
-# ``step`` is re-exported: callers, and the benchmark's tracer, find it here.
+# ``step`` is re-exported only for the benchmark, whose tracer wraps
+# ``steady.step``; no library code calls it from here.
 from .dynamics import Tick, conserved_state, step, tick_kernel  # noqa: F401
 from .lattice import LatticeState, TorusShape
 

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from groupform import LatticeState, TorusShape
+from groupform import LatticeState, TorusShape, verify
 
 settings.register_profile(
     "default", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("default")
+
+# the 14-cell mixed-size worked example, stated once in ``verify``
+FIG_EXAMPLE = verify.WORKED_EXAMPLES["mixed example"][0]
 
 
 @st.composite

@@ -1,7 +1,8 @@
 """The C tick builds itself on first import: once, atomically, and only with gcc.
 
 Each test imports a private copy of the package in a fresh interpreter, so
-the library built for the test session is never touched.
+the library built for the test session is never touched. The last test runs
+pytest itself under the project's configuration.
 """
 
 import os
@@ -155,3 +156,26 @@ def test_tick_runs_clean_under_undefined_behaviour_sanitizer(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert "runtime error" not in done.stderr
+
+
+FAILING_PROPERTY = textwrap.dedent("""
+    from hypothesis import given, strategies as st
+
+
+    @given(st.integers())
+    def test_fails(n):
+        assert n < 0
+""")
+
+
+def test_failing_hypothesis_test_is_reported_not_an_internal_error(tmp_path):
+    # the project's warnings-as-errors filter must survive hypothesis's report
+    (tmp_path / "test_fails.py").write_text(FAILING_PROPERTY)
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(pyproject), "-p", "no:cacheprovider", "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "1 failed" in done.stdout
+    assert "INTERNALERROR" not in done.stdout + done.stderr

@@ -16,7 +16,7 @@ from groupform.cli import main
 from groupform.montecarlo import p_grid
 from groupform.verify import CheckResult
 
-FIG_EXAMPLE = [0, 0, 1, 1, 2, 0, 0, 2, 1, 2, 0, 1, 1, 0]
+from conftest import FIG_EXAMPLE
 
 
 def write_json(path, payload):

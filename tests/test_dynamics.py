@@ -5,23 +5,10 @@ from hypothesis import given, settings, strategies as st
 from groupform import LatticeState, TorusShape, step, step_oracle
 from groupform.dynamics import conserved_state, tick_kernel
 
-from conftest import lattice_states, offsets_for, torus_shapes
-
-FIG_EXAMPLE = [0, 0, 1, 1, 2, 0, 0, 2, 1, 2, 0, 1, 1, 0]
+from conftest import lattice_states, torus_shapes
 
 
 class TestStepExamples:
-    def test_two_groups_separate(self):
-        z5 = TorusShape((5,))
-        assert step(LatticeState(z5, [1, 1, 0, 0, 0])) == LatticeState(z5, [0, 0, 1, 0, 1])
-
-    def test_merge(self):
-        z7 = TorusShape((7,))
-        before = LatticeState(z7, [1, 1, 0, 1, 1, 0, 0])
-        after = LatticeState(z7, [0, 0, 2, 0, 0, 1, 1])
-        assert step(before) == after
-        assert step_oracle(before) == after
-
     def test_empty_is_fixed(self):
         empty = LatticeState(TorusShape((6,)), np.zeros(6, dtype=np.int64))
         assert step(empty) == empty
@@ -111,24 +98,6 @@ class TestTickKernel:
 
 
 class TestStepProperties:
-    @given(lattice_states())
-    def test_mass_conserved(self, state):
-        assert step(state).total_mass() == state.total_mass()
-
-    @given(lattice_states(), st.data())
-    def test_translation_equivariance(self, state, data):
-        offset = data.draw(offsets_for(state.shape))
-        assert step(state.shift(offset)) == step(state).shift(offset)
-
-    @given(lattice_states())
-    def test_reflection_equivariance(self, state):
-        assert step(state.reflect()) == step(state).reflect()
-
-    @settings(max_examples=60)
-    @given(lattice_states(max_value=4))
-    def test_matches_oracle(self, state):
-        assert step(state) == step_oracle(state)
-
     @given(st.lists(st.tuples(st.integers(2, 4), st.integers(1, 5)), min_size=1, max_size=6))
     def test_isolated_groups_are_fixed_1d(self, gap_and_size):
         # groups separated by >= 2 empty cells see empty neighbors: zero
@@ -164,8 +133,3 @@ class TestOracle2D:
         # the size-1 group moved away from the size-2 one, which itself
         # was pushed by the size-1 group on its other side
         assert fast.values[2, 1] == 1
-
-    @settings(max_examples=60)
-    @given(lattice_states(max_value=4, max_side_1d=10, max_side_2d=6))
-    def test_matches_step(self, state):
-        assert step_oracle(state) == step(state)

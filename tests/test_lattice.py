@@ -6,9 +6,7 @@ from hypothesis import given, strategies as st
 
 from groupform import LatticeState, TorusShape, load_state
 
-from conftest import lattice_states, offsets_for
-
-FIG_EXAMPLE = [0, 0, 1, 1, 2, 0, 0, 2, 1, 2, 0, 1, 1, 0]
+from conftest import FIG_EXAMPLE, lattice_states, offsets_for
 
 
 class TestTorusShape:

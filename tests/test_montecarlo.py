@@ -339,33 +339,6 @@ class TestSweepConfig:
             )
 
 
-class TestRunSweep:
-    """A p-grid sweep as ``groupform sweep`` runs it: the config's points
-    through ``sample_points``."""
-
-    def _run(self):
-        config = SweepConfig(
-            shape=TorusShape((24,)),
-            p_max=0.8,
-            p_steps=2,
-            samples=12,
-            master_seed=2024,
-        )
-        return sample_points(config.points(), config.samples, config.master_seed, config.max_steps)
-
-    def test_reproducible(self):
-        assert self._run() == self._run()
-
-    def test_point_structure(self):
-        points = self._run()
-        assert [round(pt.p, 6) for pt in points] == [0.0, 0.4, 0.8]
-        for pt in points:
-            assert pt.samples == 12
-            assert pt.fixed_count + pt.periodic_count + pt.unresolved_count == 12
-        assert points[0].fixed_count == 12  # empty states settle instantly
-        assert points[0].mean_q(1) == 0.0
-
-
 class TestBenchmarkHooks:
     """The benchmark runs ``montecarlo.run_sweep``, wraps
     ``montecarlo.sample_grid_point``, swaps in its own ``montecarlo.Pool``

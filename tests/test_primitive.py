@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from groupform import analytic_densities, mix_seed, simulate_primitive
+from groupform import analytic_densities, simulate_primitive
 from groupform.primitive import replica_densities
 
 # Chance that an odd cell ends up holding 1, 2 or 3 of the variables: the
@@ -110,17 +110,12 @@ class TestSimulatePrimitive:
         # empirical means stay within 4 standard errors of the closed forms
         m, n_seeds = 10_000, 100
         for grid_index, p in enumerate((0.1, 0.3, 0.5, 0.7, 0.9)):
-            samples = {1: [], 2: [], 3: []}
-            for j in range(n_seeds):
-                hist = simulate_primitive(m, p, mix_seed(815, grid_index, j))
-                for r in samples:
-                    samples[r].append(hist.density(r))
-            expected = analytic_densities(p)
-            for r, series in samples.items():
-                mean = np.mean(series)
-                stderr = np.std(series, ddof=1) / np.sqrt(n_seeds)
-                assert abs(mean - expected[r - 1]) <= 4 * stderr, (
-                    f"r={r} p={p}: {mean} vs {expected[r - 1]} (se {stderr})"
+            means, stderrs = replica_densities(m, p, grid_index, n_seeds, 815)
+            for r, (mean, stderr, expected) in enumerate(
+                zip(means, stderrs, analytic_densities(p)), start=1
+            ):
+                assert abs(mean - expected) <= 4 * stderr, (
+                    f"r={r} p={p}: {mean} vs {expected} (se {stderr})"
                 )
 
 

@@ -11,45 +11,44 @@ from groupform import (
     evolve,
     step,
     step_oracle,
+    verify,
 )
 
 from conftest import lattice_states
 
-FIG_EXAMPLE = [0, 0, 1, 1, 2, 0, 0, 2, 1, 2, 0, 1, 1, 0]
-FIG_EXAMPLE_SETTLED = [0, 1, 0, 3, 0, 0, 0, 0, 3, 0, 3, 0, 1, 0]
+
+def evolve_worked_example(name):
+    """Evolve one `verify.WORKED_EXAMPLES` row and check its outcome and final state."""
+    values, _, expected, steady = verify.WORKED_EXAMPLES[name]
+    shape = TorusShape((len(values),))
+    outcome = evolve(LatticeState(shape, values))
+    assert (outcome.kind.value, outcome.n_st, outcome.entry_time, outcome.period) == expected
+    assert outcome.steady_state == LatticeState(shape, steady)
+    return outcome
 
 
 class TestEvolveExamples:
+    def test_worked_examples(self):
+        result = verify.check_worked_examples()
+        assert result.passed, result.detail
+
     def test_fixed_after_one_step(self):
-        z5 = TorusShape((5,))
-        outcome = evolve(LatticeState(z5, [1, 1, 0, 0, 0]))
+        outcome = evolve_worked_example("two adjacent groups")
         assert outcome.kind is OutcomeKind.FIXED
-        assert outcome.n_st == 1
-        assert outcome.steady_state == LatticeState(z5, [0, 0, 1, 0, 1])
         assert outcome.steps_taken == 2
 
     def test_period_two_cycle(self):
-        z5 = TorusShape((5,))
-        outcome = evolve(LatticeState(z5, [1, 1, 1, 0, 0]))
+        outcome = evolve_worked_example("three adjacent groups")
         assert outcome.kind is OutcomeKind.PERIODIC
-        assert outcome.entry_time == 0
-        assert outcome.period == 2
-        assert outcome.steady_state == LatticeState(z5, [1, 1, 1, 0, 0])
         assert outcome.n_st is None
 
     def test_merge_then_settle(self):
-        z7 = TorusShape((7,))
-        outcome = evolve(LatticeState(z7, [1, 1, 0, 1, 1, 0, 0]))
+        outcome = evolve_worked_example("merge example")
         assert outcome.kind is OutcomeKind.FIXED
-        assert outcome.n_st == 2
-        assert outcome.steady_state == LatticeState(z7, [1, 0, 2, 0, 1, 0, 0])
 
     def test_mixed_sizes_settle(self):
-        z14 = TorusShape((14,))
-        outcome = evolve(LatticeState(z14, FIG_EXAMPLE))
+        outcome = evolve_worked_example("mixed example")
         assert outcome.kind is OutcomeKind.FIXED
-        assert outcome.n_st == 3
-        assert outcome.steady_state == LatticeState(z14, FIG_EXAMPLE_SETTLED)
         assert outcome.steady_state.total_mass() == 11
 
     def test_already_fixed(self):
@@ -91,28 +90,6 @@ class TestEvolveExamples:
         assert default_max_steps(TorusShape((100, 150))) == 15_000
 
 
-class TestTrajectory:
-    def test_cycle_trajectory(self):
-        z5 = TorusShape((5,))
-        start = LatticeState(z5, [1, 1, 1, 0, 0])
-        assert step(start) == LatticeState(z5, [0, 1, 0, 1, 1])
-        assert step(step(start)) == start
-
-    def test_empty_state(self):
-        empty = LatticeState(TorusShape((4, 4)), np.zeros((4, 4), dtype=np.int64))
-        state = empty
-        for _ in range(3):
-            state = step(state)
-            assert state == empty
-
-    @given(lattice_states())
-    def test_mass_constant_along_trajectory(self, state):
-        visited = state
-        for _ in range(8):
-            visited = step(visited)
-            assert visited.total_mass() == state.total_mass()
-
-
 class TestOutcomeInvariants:
     @settings(max_examples=80)
     @given(lattice_states(max_value=2))
@@ -142,19 +119,6 @@ class TestOutcomeInvariants:
             assert outcome.steps_taken == outcome.entry_time + period
         else:
             assert outcome.steps_taken == 200
-
-    @given(lattice_states(max_value=2))
-    def test_deterministic(self, state):
-        first = evolve(state, max_steps=64)
-        second = evolve(state, max_steps=64)
-        assert first.kind == second.kind
-        assert first.steady_state == second.steady_state
-        assert (first.n_st, first.entry_time, first.period, first.steps_taken) == (
-            second.n_st,
-            second.entry_time,
-            second.period,
-            second.steps_taken,
-        )
 
 
 def reference_evolve(initial, max_steps):
