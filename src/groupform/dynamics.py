@@ -11,9 +11,12 @@ magnitude are legal and wrap around the torus.
 flat int64 arrays that calls the C function ``tick`` in ``_tick.c``, so
 that a tick costs one pass over the cells and no ``LatticeState``
 rebuild. The C source is compiled with gcc on the first import into a
-shared library named by the hash of the source and the gcc command,
-next to the source, and loaded with ctypes; later imports load the
-built file. Without gcc and without a built library the import fails.
+shared library named by ``importlib.util.source_hash`` of the gcc
+command and the source, next to the source, and loaded with ctypes;
+later imports load the built file. Where the package directory cannot
+be written, the library is built in, and later loaded from, the per-user
+cache ``$XDG_CACHE_HOME/groupform`` (else ``~/.cache/groupform``).
+Without gcc and without a built library the import fails.
 ``step`` applies the kernel once and wraps the result at the API
 boundary. ``step_oracle`` is a deliberately naive reference that tests
 every (target, source) pair against the defining condition, kept
@@ -23,7 +26,7 @@ around purely for equivalence testing.
 from __future__ import annotations
 
 import ctypes
-import hashlib
+import importlib.util
 import os
 from pathlib import Path
 from typing import Callable
@@ -40,18 +43,25 @@ _SOURCE = Path(__file__).with_name("_tick.c")
 _COMPILE = ("gcc", "-O2", "-shared", "-fPIC")
 
 
+class _Unwritable(ImportError):
+    """The directory a library was to be built in cannot be written."""
+
+
 def _build(library: Path) -> None:
     """Compile ``_SOURCE`` into ``library``, atomically.
 
     gcc writes a temporary file in the same directory, which is then
     renamed into place, so processes importing at once never load a
-    partly written library. Any failure, including a directory that
-    cannot be written, is an ``ImportError``.
+    partly written library. A missing directory is created. Any failure
+    is an ``ImportError``, an ``_Unwritable`` one when the directory
+    cannot be written.
     """
     import subprocess
     import tempfile
 
     try:
+        if not library.parent.exists():  # the per-user cache, on its first build
+            os.makedirs(library.parent, exist_ok=True)
         fd, partial = tempfile.mkstemp(prefix=library.name + ".", suffix=".tmp", dir=library.parent)
         os.close(fd)
         try:
@@ -70,14 +80,38 @@ def _build(library: Path) -> None:
             if os.path.exists(partial):
                 os.unlink(partial)
     except OSError as exc:
-        raise ImportError(f"cannot build {library.name} in {library.parent}: {exc}") from exc
+        raise _Unwritable(f"cannot build {library.name} in {library.parent}: {exc}") from exc
+
+
+def _cache_dir() -> Path:
+    cache = os.environ.get("XDG_CACHE_HOME", "")
+    return (Path(cache) if os.path.isabs(cache) else Path.home() / ".cache") / "groupform"
+
+
+def _cached_or_built(library: Path) -> Path:
+    """``library``, missing next to the source: the per-user cache's copy,
+    else a new build there or, where that directory cannot be written, in
+    the cache."""
+    cached = _cache_dir() / library.name
+    if cached.exists():
+        return cached
+    try:
+        _build(library)
+    except _Unwritable as unwritable:
+        try:
+            _build(cached)
+        except ImportError as exc:
+            raise ImportError(f"{unwritable}; {exc}") from exc
+        return cached
+    return library
 
 
 def _load_tick():
-    build_hash = hashlib.sha256(repr(_COMPILE).encode() + _SOURCE.read_bytes()).hexdigest()[:16]
+    # 64 bits over the gcc command and the source
+    build_hash = importlib.util.source_hash(repr(_COMPILE).encode() + _SOURCE.read_bytes()).hex()
     library = _SOURCE.with_name(f"_tick_{build_hash}.so")
     if not library.exists():
-        _build(library)
+        library = _cached_or_built(library)
     c_tick = ctypes.CDLL(str(library)).tick
     c_tick.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64]
     c_tick.restype = ctypes.c_int

@@ -8,7 +8,6 @@ serve as dictionary-free value objects. All index arithmetic is modular.
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
 from math import prod
@@ -146,6 +145,8 @@ class LatticeState:
 
 def read_json(path):
     """Parse a JSON file; malformed JSON is a ValueError naming the file."""
+    import json
+
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)

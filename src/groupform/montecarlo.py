@@ -9,7 +9,9 @@ matter how the samples are scheduled across workers.
 
 Every aggregate (a p-grid sweep, a statistical check, a figure dataset)
 is a list of ``(shape, p, grid_index)`` points run by ``sample_points``,
-the one runner, which owns the only process pool. The block of benchmark
+the one runner, which owns the only process pool; the pool machinery
+(``multiprocessing``) loads at the first ``workers`` > 1 call, so a
+serial run and ``import groupform`` never pay for it. The block of benchmark
 hooks at the end of the module wraps it for ``perfbench/`` only.
 
 Per-sample seeds come from a fixed avalanche-quality 64-bit mix of
@@ -19,10 +21,8 @@ isolation.
 
 from __future__ import annotations
 
-import signal
 from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, field, fields
-from multiprocessing import Pool
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -273,8 +273,18 @@ def _blocks(n_samples: int, workers: int) -> list[tuple[int, int]]:
     return [(j, min(j + block, n_samples)) for j in range(0, n_samples, block)]
 
 
+def Pool(*args, **kwargs):
+    """``multiprocessing.Pool``, imported at the first ``workers`` > 1 run,
+    so that a serial run never loads the pool machinery."""
+    import multiprocessing
+
+    return multiprocessing.Pool(*args, **kwargs)
+
+
 def _ignore_sigint() -> None:
     """Pool worker initializer: a Ctrl-C stops only the parent, which ends the pool."""
+    import signal
+
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 

@@ -1,8 +1,10 @@
-"""The C tick builds itself on first import: once, atomically, and only with gcc.
+"""The C tick builds itself on first import: once, atomically, only with gcc,
+and in the per-user cache where the package directory cannot be written.
 
-Each test imports a private copy of the package in a fresh interpreter, so
-the library built for the test session is never touched. The last test runs
-pytest itself under the project's configuration.
+Each build test imports a private copy of the package in a fresh
+interpreter, so the library built for the test session is never touched.
+One test pins what ``import groupform`` loads; the last runs pytest itself
+under the project's configuration.
 """
 
 import os
@@ -105,6 +107,66 @@ def test_changed_compile_flags_build_a_second_library(tmp_path):
     assert second.startswith("_tick_") and second.endswith(".so")
 
 
+def test_changed_source_builds_a_second_library(tmp_path):
+    copy = package_copy(tmp_path)
+    assert run_import(copy).returncode == 0
+    (first,) = built_files(copy)
+    with open(copy / "_tick.c", "a") as source:
+        source.write("/* edited */\n")
+    done = run_import(copy)
+    assert done.returncode == 0, done.stderr
+    (second,) = set(built_files(copy)) - {first}
+    assert second.startswith("_tick_") and second.endswith(".so")
+
+
+def unwritable_package_copy(tmp_path) -> Path:
+    """A package copy whose library target lies under a regular file, so
+    that its directory cannot be written, by root either."""
+    copy = package_copy(tmp_path)
+    (copy / "not_a_directory").write_text("")
+    dynamics = copy / "dynamics.py"
+    source = dynamics.read_text()
+    assert source.count('_SOURCE.with_name(f"_tick_{build_hash}.so")') == 1
+    dynamics.write_text(source.replace(
+        '_SOURCE.with_name(f"_tick_{build_hash}.so")',
+        '_SOURCE.with_name("not_a_directory") / f"_tick_{build_hash}.so"',
+    ))
+    return copy
+
+
+@pytest.mark.parametrize(
+    "xdg_cache_home, cache", [("cache", "cache/groupform"), ("", "home/.cache/groupform")], ids=["XDG_CACHE_HOME", "HOME"],
+)
+def test_unwritable_package_builds_into_the_user_cache(tmp_path, xdg_cache_home, cache):
+    copy = unwritable_package_copy(tmp_path)
+    env = dict(XDG_CACHE_HOME=xdg_cache_home and str(tmp_path / xdg_cache_home), HOME=str(tmp_path / "home"))
+    cache = tmp_path / cache
+    done = run_import(copy, **env)
+    assert done.returncode == 0, done.stderr
+    (library,) = os.listdir(cache)
+    assert library.startswith("_tick_") and library.endswith(".so")
+    assert built_files(copy) == ["not_a_directory"]
+    # the next import loads the cached library and runs no gcc
+    mtime = (cache / library).stat().st_mtime_ns
+    no_tools = tmp_path / "empty"
+    no_tools.mkdir()
+    done = run_import(copy, PATH=str(no_tools), **env)
+    assert done.returncode == 0, done.stderr
+    assert os.listdir(cache) == [library]
+    assert (cache / library).stat().st_mtime_ns == mtime
+
+
+def test_unwritable_package_and_cache_is_an_import_error_naming_both(tmp_path):
+    copy = unwritable_package_copy(tmp_path)
+    not_a_cache = tmp_path / "file"
+    not_a_cache.write_text("")
+    done = run_import(copy, XDG_CACHE_HOME=str(not_a_cache))
+    assert done.returncode != 0
+    assert "ImportError: cannot build _tick_" in done.stderr
+    assert f"in {copy / 'not_a_directory'}: " in done.stderr
+    assert f"in {not_a_cache / 'groupform'}: " in done.stderr
+
+
 def test_unwritable_target_is_an_import_error_naming_its_directory(tmp_path):
     # a directory path under a regular file cannot be written, by root either
     not_a_directory = tmp_path / "file"
@@ -113,6 +175,30 @@ def test_unwritable_target_is_an_import_error_naming_its_directory(tmp_path):
         _build(not_a_directory / "_tick_0123456789abcdef.so")
     assert str(not_a_directory) in str(info.value)
     assert isinstance(info.value.__cause__, NotADirectoryError)
+
+
+# what ``import groupform`` adds to a numpy process, then the pool it loads
+# only when a run asks for two workers
+IMPORT_SET = textwrap.dedent("""
+    import sys
+    import numpy
+
+    before = set(sys.modules)
+    import groupform
+    print(" ".join(sorted(set(sys.modules) - before)))
+
+    points = [(groupform.TorusShape((30,)), 0.7, 3), (groupform.TorusShape((4, 5)), 0.9, 4)]
+    assert groupform.sample_points(points, 40, 5, workers=2) == groupform.sample_points(points, 40, 5, workers=1)
+""")
+
+
+def test_import_loads_no_pool_json_or_openssl():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", IMPORT_SET], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "groupform.montecarlo" in loaded
+    assert loaded.isdisjoint({"multiprocessing", "socket", "selectors", "signal", "json", "hashlib", "_hashlib"}), loaded
 
 
 # step against step_oracle on seeded states, the displacement near 2**63 and
