@@ -13,7 +13,8 @@ that a tick costs one pass over the cells and no ``LatticeState``
 rebuild. The C source is compiled with gcc on the first import into a
 shared library named by ``importlib.util.source_hash`` of the gcc
 command and the source, next to the source, and loaded with ctypes;
-later imports load the built file. Where the package directory cannot
+later imports load the built file. A build next to the source removes
+the other libraries there. Where the package directory cannot
 be written, the library is built in, and later loaded from, the per-user
 cache ``$XDG_CACHE_HOME/groupform`` (else ``~/.cache/groupform``).
 Without gcc and without a built library the import fails.
@@ -103,6 +104,11 @@ def _cached_or_built(library: Path) -> Path:
         except ImportError as exc:
             raise ImportError(f"{unwritable}; {exc}") from exc
         return cached
+    # libraries of an older source or gcc command; the per-user cache keeps
+    # its others, which other checkouts may still load
+    for stale in library.parent.glob("_tick_*.so"):
+        if stale != library:
+            stale.unlink(missing_ok=True)
     return library
 
 

@@ -9,7 +9,9 @@ matter how the samples are scheduled across workers.
 
 Every aggregate (a p-grid sweep, a statistical check, a figure dataset)
 is a list of ``(shape, p, grid_index)`` points run by ``sample_points``,
-the one runner, which owns the only process pool; the pool machinery
+the one runner, which owns the only process pool, ``Pool``: one pipe per
+worker process, fed from the calling thread with no helper thread, and a
+worker that dies is an error, not a hang. The pool machinery
 (``multiprocessing``) loads at the first ``workers`` > 1 call, so a
 serial run and ``import groupform`` never pay for it. The block of benchmark
 hooks at the end of the module wraps it for ``perfbench/`` only.
@@ -273,12 +275,95 @@ def _blocks(n_samples: int, workers: int) -> list[tuple[int, int]]:
     return [(j, min(j + block, n_samples)) for j in range(0, n_samples, block)]
 
 
-def Pool(*args, **kwargs):
-    """``multiprocessing.Pool``, imported at the first ``workers`` > 1 run,
-    so that a serial run never loads the pool machinery."""
-    import multiprocessing
+class WorkerTraceback(Exception):
+    """The formatted traceback of a task that raised in a pool worker."""
 
-    return multiprocessing.Pool(*args, **kwargs)
+
+def _serve(conn, initializer) -> None:
+    """A pool worker: run each ``(fn, task)`` received, send back its result."""
+    if initializer is not None:
+        initializer()
+    while True:
+        try:
+            fn, task = conn.recv()
+        except EOFError:  # the pool is gone
+            return
+        try:
+            reply = (True, fn(task))
+        except Exception as exc:
+            import traceback
+
+            reply = (False, (exc, traceback.format_exc()))
+        conn.send(reply)
+
+
+class Pool:
+    """``processes`` worker processes, each fed one task at a time over its
+    own pipe by ``map`` in the calling thread; no helper thread runs.
+
+    ``multiprocessing`` is imported here, at the first ``workers`` > 1
+    run, so a serial run never loads it. A task that raises is re-raised
+    by ``map`` with the worker's traceback as its ``__cause__``, and a
+    worker that has exited is a ``RuntimeError`` naming its exit code;
+    either ends the pool.
+    """
+
+    def __init__(self, processes: int, initializer: Callable[[], None] | None = None):
+        import multiprocessing
+        from multiprocessing.connection import wait
+
+        self._wait = wait
+        self._workers = []  # (process, the parent's end of its pipe)
+        for _ in range(processes):
+            conn, child_conn = multiprocessing.Pipe()
+            process = multiprocessing.Process(target=_serve, args=(child_conn, initializer), daemon=True)
+            process.start()
+            child_conn.close()  # so the worker's exit is an EOF here
+            self._workers.append((process, conn))
+
+    def __enter__(self) -> "Pool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for process, _ in self._workers:
+            process.terminate()
+        for process, conn in self._workers:
+            process.join()
+            conn.close()
+
+    def _lost(self, process) -> RuntimeError:
+        process.join()
+        self.__exit__()
+        return RuntimeError(f"pool worker {process.pid} exited with code {process.exitcode}")
+
+    def map(self, fn: Callable, tasks: Sequence) -> list:
+        """``[fn(task) for task in tasks]``, computed by the workers."""
+        todo = iter(enumerate(tasks))
+        results: list = [None] * len(tasks)
+        idle = list(self._workers)
+        busy = {}  # the parent's end of a busy worker's pipe -> (process, task index)
+        while True:
+            for (process, conn), (i, task) in zip(idle, todo):
+                try:
+                    conn.send((fn, task))
+                except BrokenPipeError:
+                    raise self._lost(process) from None
+                busy[conn] = (process, i)
+            idle = []
+            if not busy:
+                return results
+            for conn in self._wait(list(busy)):
+                process, i = busy.pop(conn)
+                try:
+                    ok, value = conn.recv()
+                except EOFError:
+                    raise self._lost(process) from None
+                if not ok:
+                    self.__exit__()
+                    exc, trace = value
+                    raise exc from WorkerTraceback(trace)
+                results[i] = value
+                idle.append((process, conn))
 
 
 def _ignore_sigint() -> None:
@@ -300,10 +385,12 @@ def sample_points(
     point, in order; ``progress(k, p, stats)`` follows each point's merge.
 
     This is the one runner: each point's samples run in blocks, either in
-    this process or, for ``workers`` > 1, on one pool of that many
-    processes that lives for this call, one ``map`` per point. The result
-    is identical for any ``workers`` count: the blocks' integer
-    accumulators are merged, and merging commutes.
+    this process or, for ``workers`` > 1, on one ``Pool`` of that many
+    processes that lives for this call, one ``map`` per point. This thread
+    feeds each worker one block at a time over the worker's own pipe; a
+    block that raises re-raises here, and a worker that dies is a
+    ``RuntimeError``. The result is identical for any ``workers`` count:
+    the blocks' integer accumulators are merged, and merging commutes.
     """
     blocks = _blocks(samples, workers)
     for _, _, grid_index in points:

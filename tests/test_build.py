@@ -105,6 +105,7 @@ def test_changed_compile_flags_build_a_second_library(tmp_path):
     assert done.returncode == 0, done.stderr
     (second,) = set(built_files(copy)) - {first}
     assert second.startswith("_tick_") and second.endswith(".so")
+    assert built_files(copy) == [second]
 
 
 def test_changed_source_builds_a_second_library(tmp_path):
@@ -117,6 +118,7 @@ def test_changed_source_builds_a_second_library(tmp_path):
     assert done.returncode == 0, done.stderr
     (second,) = set(built_files(copy)) - {first}
     assert second.startswith("_tick_") and second.endswith(".so")
+    assert built_files(copy) == [second]
 
 
 def unwritable_package_copy(tmp_path) -> Path:

@@ -1,3 +1,11 @@
+import multiprocessing
+import os
+import re
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -258,7 +266,8 @@ class TestSamplePoints:
         recovered = sum(r * c for r, c in stats.count_sums.items())
         assert recovered == stats.fixed_initial_mass_sum
 
-    def test_overflow_diagnostic_names_sample(self, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflow_diagnostic_names_sample(self, monkeypatch, workers):
         real = montecarlo.run_sample
 
         def poisoned(shape, p, sample_seed, max_steps=None):
@@ -266,9 +275,53 @@ class TestSamplePoints:
                 raise OverflowError("synthetic")
             return real(shape, p, sample_seed, max_steps)
 
+        # the pool's workers are forked, so they run the patched module too
         monkeypatch.setattr(montecarlo, "run_sample", poisoned)
         with pytest.raises(OverflowError, match=r"grid_index=1.*sample_index=3"):
-            sample_points(self.POINTS, 4, master_seed=41)
+            sample_points(self.POINTS, 4, master_seed=41, workers=workers)
+
+
+def _sleep_then_return(args):
+    seconds, value = args
+    time.sleep(seconds)
+    return value
+
+
+class TestPool:
+    def test_results_in_task_order_when_later_tasks_finish_first(self):
+        with montecarlo.Pool(processes=2) as pool:
+            assert pool.map(_sleep_then_return, [(0.5, "a"), (0, "b"), (0, "c"), (0, "d")]) == ["a", "b", "c", "d"]
+
+    def test_task_error_is_raised_with_the_worker_traceback(self):
+        with pytest.raises(ValueError, match="invalid literal") as raised:
+            with montecarlo.Pool(processes=2) as pool:
+                pool.map(int, ["1", "x"])
+        cause = raised.value.__cause__
+        assert isinstance(cause, montecarlo.WorkerTraceback)
+        assert str(cause).startswith("Traceback (most recent call last):")
+
+    def test_worker_exit_mid_map_names_its_exit_code(self):
+        # in a child process, so that a pool that hangs fails here by the timeout
+        script = (
+            "import os\n"
+            "from groupform.montecarlo import Pool\n"
+            "with Pool(processes=2) as pool:\n"
+            "    pool.map(os._exit, [7])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(montecarlo.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert re.fullmatch(r"RuntimeError: pool worker \d+ exited with code 7", done.stderr.splitlines()[-1])
+
+    def test_worker_killed_between_maps_names_its_exit_code(self):
+        with montecarlo.Pool(processes=2) as pool:
+            assert pool.map(abs, [-1, -2]) == [1, 2]
+            worker = multiprocessing.active_children()[0]
+            worker.kill()
+            worker.join(timeout=10)
+            assert not worker.is_alive()
+            with pytest.raises(RuntimeError, match=rf"pool worker {worker.pid} exited with code -9"):
+                pool.map(abs, [-1, -2])
 
 
 class TestSweepConfig:
