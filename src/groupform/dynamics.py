@@ -156,6 +156,9 @@ def tick_kernel(shape: TorusShape) -> Tick:
     return tick
 
 
+MASS_NOT_CONSERVED = "accumulation overflow: mass not conserved by step"
+
+
 def conserved_state(reference: LatticeState, values: np.ndarray) -> LatticeState:
     """Wrap kernel output as a state on ``reference``'s torus, checking its mass.
 
@@ -165,7 +168,7 @@ def conserved_state(reference: LatticeState, values: np.ndarray) -> LatticeState
     """
     state = LatticeState(reference.shape, values)
     if state.total_mass() != reference.total_mass():
-        raise OverflowError("accumulation overflow: mass not conserved by step")
+        raise OverflowError(MASS_NOT_CONSERVED)
     return state
 
 

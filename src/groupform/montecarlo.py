@@ -9,28 +9,36 @@ matter how the samples are scheduled across workers.
 
 Every aggregate (a p-grid sweep, a statistical check, a figure dataset)
 is a list of ``(shape, p, grid_index)`` points run by ``sample_points``,
-the one runner, which owns the only process pool, ``Pool``: one pipe per
-worker process, fed from the calling thread with no helper thread, and a
-worker that dies is an error, not a hang. The pool machinery
-(``multiprocessing``) loads at the first ``workers`` > 1 call, so a
-serial run and ``import groupform`` never pay for it. The block of benchmark
-hooks at the end of the module wraps it for ``perfbench/`` only.
+the one runner. Its sample blocks work on raw int64 arrays: draw, settle
+(``steady._settle``), mass check and size count, summed straight into a
+``GridPointStats``. ``run_sample`` (with ``bernoulli_state``, ``evolve``
+and ``measure``) is the one-sample API, for the CLI and callers that want
+a sample's states; folding its results through ``add_sample`` gives the
+same sums. ``sample_points`` owns the only process pool, ``Pool``: one
+pipe per worker process, fed from the calling thread with no helper
+thread, and a worker that dies is an error, not a hang. The pool
+machinery (``multiprocessing``) loads at the first ``workers`` > 1 call,
+so a serial run and ``import groupform`` never pay for it. The block of
+benchmark hooks at the end of the module wraps it for ``perfbench/`` only.
 
 Per-sample seeds come from a fixed avalanche-quality 64-bit mix of
 (master_seed, grid_index, sample_index), so any sample can be re-run in
-isolation.
+isolation. A seed's initial state is read off the raw PCG64 stream
+(``_bernoulli_cells``), not through numpy's ``Generator``.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .dynamics import MASS_NOT_CONSERVED, tick_kernel
 from .lattice import UINT64_MAX, LatticeState, TorusShape
-from .steady import OutcomeKind, TrajectoryOutcome, default_max_steps, evolve
+from .steady import OutcomeKind, TrajectoryOutcome, _resolve_cap, _settle, default_max_steps, evolve
 
 # Group sizes 1..4 are reported individually; everything larger lands in
 # the tail bucket (large groups only appear in large models).
@@ -57,12 +65,26 @@ def mix_seed(master_seed: int, grid_index: int, sample_index: int) -> int:
     return h
 
 
-def bernoulli_state(shape: TorusShape, p: float, seed: int) -> LatticeState:
-    """Each cell independently holds a one-element group with probability p."""
+def _bernoulli_cells(n: int, p: float, seed: int) -> np.ndarray:
+    """``n`` booleans, each True with probability p: the top 53 bits of each
+    of ``PCG64(seed)``'s first ``n`` raw words, compared with ceil(p * 2**53).
+
+    This equals ``np.random.default_rng(seed).random(n) < p`` exactly, since
+    ``Generator.random`` is those 53 bits times 2**-53, a scaling that is
+    exact. It is written on the raw stream, which numpy keeps fixed across
+    releases more strictly than ``Generator``'s methods (NEP 19), so the
+    seed-to-state map, and with it every pinned output, rests on PCG64 alone.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    rng = np.random.default_rng(seed)
-    return LatticeState(shape, rng.random(shape.total_cells) < p)
+    words = np.random.PCG64(seed).random_raw(n)
+    words >>= 11  # in place: a second array of this size costs more than the shift
+    return words < math.ceil(p * 2**53)
+
+
+def bernoulli_state(shape: TorusShape, p: float, seed: int) -> LatticeState:
+    """Each cell independently holds a one-element group with probability p."""
+    return LatticeState(shape, _bernoulli_cells(shape.total_cells, p, seed))
 
 
 @dataclass(frozen=True)
@@ -91,7 +113,7 @@ def measure(state: LatticeState) -> GroupHistogram:
 
 @dataclass(frozen=True)
 class SampleResult:
-    """One unit of sweep work: outcome, histogram (fixed outcomes only), mass."""
+    """One sample through the one-sample API: outcome, histogram (fixed outcomes only), mass."""
 
     outcome: TrajectoryOutcome
     histogram: GroupHistogram | None
@@ -128,16 +150,24 @@ class GridPointStats:
     tail_sq_sum: int = 0
 
     def add_sample(self, result: SampleResult) -> None:
+        outcome = result.outcome
+        sizes = result.histogram.counts.items() if result.histogram is not None else ()
+        self._add(outcome.kind, outcome.n_st, result.initial_mass, sizes)
+
+    def _add(self, kind: OutcomeKind, n_st: int | None, initial_mass: int, sizes: Iterable[tuple[int, int]]) -> None:
+        """Count one sample: its outcome and, for a fixed one, its ``n_st``,
+        initial mass and ``(r, count)`` pairs, one per group size present."""
         self.samples += 1
-        kind = result.outcome.kind
         if kind is OutcomeKind.FIXED:
             self.fixed_count += 1
-            self.n_st_sum += result.outcome.n_st
-            self.fixed_initial_mass_sum += result.initial_mass
-            for r, c in result.histogram.counts.items():
+            self.n_st_sum += n_st
+            self.fixed_initial_mass_sum += initial_mass
+            tail = 0
+            for r, c in sizes:
                 self.count_sums[r] = self.count_sums.get(r, 0) + c
                 self.count_sq_sums[r] = self.count_sq_sums.get(r, 0) + c * c
-            tail = result.histogram.tail_count()
+                if r >= TAIL_MIN_SIZE:
+                    tail += c
             self.tail_sum += tail
             self.tail_sq_sum += tail * tail
         elif kind is OutcomeKind.PERIODIC:
@@ -255,13 +285,49 @@ class SweepConfig:
 
 
 def _sample_block(args) -> GridPointStats:
+    """Samples ``j_start`` to ``j_end - 1`` of one point, in one accumulator.
+
+    The sweep path works on raw int64 arrays, with the cap and the tick
+    kernel resolved once per block. Each sample is drawn by
+    ``_bernoulli_cells``, settled by ``steady._settle``, checked for mass
+    and, if fixed, counted by size with ``np.bincount``; no
+    ``LatticeState``, ``TrajectoryOutcome``, ``GroupHistogram`` or
+    ``SampleResult`` is built. The sums are those of ``run_sample``, the
+    one-sample API, folded through ``add_sample``. An exception raised by a
+    sample keeps its type and names the sample's grid index, sample index
+    and seed, which ``groupform simulate --seed`` replays.
+    """
     shape, p, grid_index, j_start, j_end, master_seed, max_steps = args
-    stats = GridPointStats(p=p, grid_index=grid_index, total_cells=shape.total_cells)
+    max_steps = _resolve_cap(shape, max_steps)
+    tick = tick_kernel(shape)
+    n = shape.total_cells
+    stats = GridPointStats(p=p, grid_index=grid_index, total_cells=n)
     for j in range(j_start, j_end):
+        seed = mix_seed(master_seed, grid_index, j)
         try:
-            stats.add_sample(run_sample(shape, p, mix_seed(master_seed, grid_index, j), max_steps))
-        except OverflowError as exc:
-            raise OverflowError(f"sample (grid_index={grid_index}, sample_index={j}): {exc}") from exc
+            start = _bernoulli_cells(n, p, seed).astype(np.int64)
+            mass = int(start.sum())
+            kind, final, _, n_st, _, _ = _settle(tick, start, max_steps)
+            if int(final.sum()) != mass:
+                raise OverflowError(MASS_NOT_CONSERVED)
+            sizes = ()
+            if kind is OutcomeKind.FIXED:
+                # T(0) holds only 0s and 1s, so every group is at most n, and so is bincount's length
+                counts = np.bincount(final)
+                counts[0] = 0
+                present = np.flatnonzero(counts)
+                sizes = zip(present.tolist(), counts[present].tolist())
+            stats._add(kind, n_st, mass, sizes)
+        except Exception as exc:
+            where = f"sample (grid_index={grid_index}, sample_index={j}, seed={seed})"
+            try:
+                named = type(exc)(f"{where}: {exc}")
+            except TypeError:  # a type built from more than a message, such as numpy's MemoryError
+                named = None
+            if named is None:
+                exc.add_note(where)
+                raise
+            raise named from exc
     return stats
 
 
@@ -384,11 +450,13 @@ def sample_points(
     """Aggregate ``samples`` trajectories at each ``(shape, p, grid_index)``
     point, in order; ``progress(k, p, stats)`` follows each point's merge.
 
-    This is the one runner: each point's samples run in blocks, either in
-    this process or, for ``workers`` > 1, on one ``Pool`` of that many
-    processes that lives for this call, one ``map`` per point. This thread
-    feeds each worker one block at a time over the worker's own pipe; a
-    block that raises re-raises here, and a worker that dies is a
+    This is the one runner: each point's samples run in blocks of
+    ``_sample_block``, on raw arrays rather than through ``run_sample``,
+    either in this process or, for ``workers`` > 1, on one ``Pool`` of
+    that many processes that lives for this call, one ``map`` per point.
+    This thread feeds each worker one block at a time over the worker's own
+    pipe; a block that raises re-raises here, naming the failing sample's
+    grid index, sample index and seed, and a worker that dies is a
     ``RuntimeError``. The result is identical for any ``workers`` count:
     the blocks' integer accumulators are merged, and merging commutes.
     """

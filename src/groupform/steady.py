@@ -2,10 +2,13 @@
 
 Trajectories end in one of three ways: a fixed point (the usual case,
 reported with the relaxation time ``n_st``), a periodic orbit with
-period >= 2, or unresolved at the configured cap. The loop runs the raw
-int64 tick from ``dynamics.tick_kernel``, one call into the compiled C
-kernel per tick with no per-shape tables, and wraps states in
-``LatticeState`` (with the mass-conservation check) only on the way out.
+period >= 2, or unresolved at the configured cap. The loop, ``_settle``,
+runs on raw flat int64 arrays: one call per tick into the compiled C
+kernel from ``dynamics.tick_kernel``, with no per-shape tables and no
+``LatticeState``. ``evolve``, the one-trajectory API, wraps its result in
+a ``LatticeState`` (with the mass-conservation check) and a
+``TrajectoryOutcome``; the sweep's sample blocks in ``montecarlo`` call
+``_settle`` directly and check the mass on the raw arrays.
 
 Each new state is compared with its predecessor, which finds a fixed
 point at the exact relaxation time. Longer cycles are found with Brent's
@@ -81,6 +84,46 @@ def _cycle_entry(tick: Tick, start: np.ndarray, period: int) -> tuple[int, np.nd
     return entry, trail
 
 
+def _settle(
+    tick: Tick, start: np.ndarray, max_steps: int
+) -> tuple[OutcomeKind, np.ndarray, int, int | None, int | None, int | None]:
+    """``evolve``'s loop on a raw flat int64 array T(0), with a resolved cap.
+
+    Returns ``(kind, final, steps_taken, n_st, entry_time, period)``, the
+    fields of ``TrajectoryOutcome`` with ``final`` as a raw array that is
+    not checked for mass; ``evolve`` and the sweep's sample blocks wrap it.
+    """
+    cur = saved = start
+    saved_time, power = 0, 1
+    for now in range(2 * max_steps):
+        nxt = tick(cur)
+        if np.array_equal(nxt, cur):
+            if now < max_steps:
+                return OutcomeKind.FIXED, cur, now + 1, now, None, None
+            break
+        if np.array_equal(nxt, saved):
+            period = now + 1 - saved_time
+            entry, entry_state = _cycle_entry(tick, start, period)
+            if entry + period <= max_steps:
+                return OutcomeKind.PERIODIC, entry_state, entry + period, None, entry, period
+            break
+        cur = nxt
+        if now < max_steps and (now + 1 - saved_time == power or now + 1 == max_steps):
+            saved, saved_time, power = cur, now + 1, 2 * power
+    # the loop only ends after tick max_steps, so ``saved`` is T(max_steps)
+    return OutcomeKind.UNRESOLVED, saved, max_steps, None, None, None
+
+
+def _resolve_cap(shape: TorusShape, max_steps: int | None) -> int:
+    """The cap a trajectory on ``shape`` runs to: ``max_steps``, which must
+    be >= 1, or ``default_max_steps(shape)`` for None."""
+    if max_steps is None:
+        return default_max_steps(shape)
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    return max_steps
+
+
 def evolve(initial: LatticeState, max_steps: int | None = None) -> TrajectoryOutcome:
     """Iterate the dynamics until a fixed point, a cycle, or the cap.
 
@@ -89,43 +132,8 @@ def evolve(initial: LatticeState, max_steps: int | None = None) -> TrajectoryOut
     immediately preceding state is a fixed point, any other repeat is a
     cycle with the minimal period and the earliest entry time.
     """
-    if max_steps is None:
-        max_steps = default_max_steps(initial.shape)
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    tick = tick_kernel(initial.shape)
-    start = initial.values.reshape(-1)
-    cur = saved = start
-    saved_time, power = 0, 1
-    for now in range(2 * max_steps):
-        nxt = tick(cur)
-        if np.array_equal(nxt, cur):
-            if now < max_steps:
-                return TrajectoryOutcome(
-                    OutcomeKind.FIXED,
-                    steady_state=conserved_state(initial, cur),
-                    steps_taken=now + 1,
-                    n_st=now,
-                )
-            break
-        if np.array_equal(nxt, saved):
-            period = now + 1 - saved_time
-            entry, entry_state = _cycle_entry(tick, start, period)
-            if entry + period <= max_steps:
-                return TrajectoryOutcome(
-                    OutcomeKind.PERIODIC,
-                    steady_state=conserved_state(initial, entry_state),
-                    steps_taken=entry + period,
-                    entry_time=entry,
-                    period=period,
-                )
-            break
-        cur = nxt
-        if now < max_steps and (now + 1 - saved_time == power or now + 1 == max_steps):
-            saved, saved_time, power = cur, now + 1, 2 * power
-    # the loop only ends after tick max_steps, so ``saved`` is T(max_steps)
-    return TrajectoryOutcome(
-        OutcomeKind.UNRESOLVED,
-        steady_state=conserved_state(initial, saved),
-        steps_taken=max_steps,
+    max_steps = _resolve_cap(initial.shape, max_steps)
+    kind, final, steps_taken, n_st, entry_time, period = _settle(
+        tick_kernel(initial.shape), initial.values.reshape(-1), max_steps
     )
+    return TrajectoryOutcome(kind, conserved_state(initial, final), steps_taken, n_st, entry_time, period)

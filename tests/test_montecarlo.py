@@ -54,6 +54,25 @@ class TestBernoulliState:
             density = bernoulli_state(shape, 0.8, seed).total_mass() / 3000
             assert abs(density - 0.8) < 0.02
 
+    def test_pcg64_raw_stream_known_answer(self):
+        # the draw reads these words, so a numpy whose PCG64 stream changed
+        # fails here by name, not only in the golden outputs
+        assert np.random.PCG64(0).random_raw(3).tolist() == [
+            11749869230777074271, 4976686463289251617, 755828109848996024,
+        ]
+        assert np.random.PCG64(2**64 - 1).random_raw(3).tolist() == [
+            12544278110101001871, 15593249672699323225, 136562751618339402,
+        ]
+
+    def test_raw_stream_draw_equals_generator_draw(self):
+        # the integer threshold ceil(p * 2**53) on the top 53 bits is the
+        # float compare Generator.random(n) < p, so seeds keep their states
+        for seed in (0, 1, 2**64 - 1, 12345678901234567890):
+            for n in (1, 7, 3000, 40000):
+                for p in (0.0, 0.2, 0.5, 0.8, 0.96, 1.0, 0.1 + 0.2):
+                    expected = np.random.default_rng(seed).random(n) < p
+                    assert np.array_equal(montecarlo._bernoulli_cells(n, p, seed), expected), (seed, n, p)
+
 
 class TestMeasure:
     def test_settled_example(self):
@@ -268,17 +287,86 @@ class TestSamplePoints:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_overflow_diagnostic_names_sample(self, monkeypatch, workers):
-        real = montecarlo.run_sample
+        real = montecarlo._bernoulli_cells
+        seed = mix_seed(41, 1, 3)
+        for error in (OverflowError, ValueError):
 
-        def poisoned(shape, p, sample_seed, max_steps=None):
-            if sample_seed == mix_seed(41, 1, 3):
-                raise OverflowError("synthetic")
-            return real(shape, p, sample_seed, max_steps)
+            def poisoned(n, p, sample_seed, error=error):
+                if sample_seed == seed:
+                    raise error("synthetic")
+                return real(n, p, sample_seed)
 
-        # the pool's workers are forked, so they run the patched module too
-        monkeypatch.setattr(montecarlo, "run_sample", poisoned)
-        with pytest.raises(OverflowError, match=r"grid_index=1.*sample_index=3"):
-            sample_points(self.POINTS, 4, master_seed=41, workers=workers)
+            # the pool's workers are forked, so they run the patched module too
+            monkeypatch.setattr(montecarlo, "_bernoulli_cells", poisoned)
+            with pytest.raises(error, match=rf"grid_index=1.*sample_index=3.*seed={seed}\): synthetic$"):
+                sample_points(self.POINTS, 4, master_seed=41, workers=workers)
+
+
+def _folded(points, samples, master_seed, max_steps=None):
+    """The points' stats through the one-sample API: each sample's
+    ``run_sample`` result folded in by ``add_sample``."""
+    folded = []
+    for shape, p, grid_index in points:
+        stats = GridPointStats(p=p, grid_index=grid_index, total_cells=shape.total_cells)
+        for j in range(samples):
+            stats.add_sample(run_sample(shape, p, mix_seed(master_seed, grid_index, j), max_steps))
+        folded.append(stats)
+    return folded
+
+
+def _grid(dims, ps):
+    return [(TorusShape(dims), p, i) for i, p in enumerate(ps)]
+
+
+class TestSweepPath:
+    """``sample_points``' blocks draw, settle and count samples on raw arrays;
+    they must give exactly the sums of ``run_sample`` and ``add_sample``."""
+
+    CASES = {
+        # caps 2 and 3 on Z5: fixed points and cycles that close exactly at
+        # the cap, and unresolved samples at cap 2
+        "z5-cap-2": (_grid((5,), (0.5, 0.7, 0.9)), 40, 2),
+        "z5-cap-3": (_grid((5,), (0.5, 0.7, 0.9)), 40, 3),
+        "z12-cap-5": (_grid((12,), (0.3, 0.7, 0.9)), 40, 5),
+        # periodic and unresolved samples, and fixed ones with groups in the tail
+        "4x4-cap-5": (_grid((4, 4), (0.3, 0.7, 0.9)), 40, 5),
+        "p-0-and-1": ([(TorusShape((30,)), 0.0, 0), (TorusShape((6, 8)), 1.0, 1)], 10, None),
+        "m3000": ([(TorusShape((3000,)), 0.8, 0)], 12, None),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", CASES)
+    def test_equals_run_sample_fold(self, case, workers):
+        points, samples, max_steps = self.CASES[case]
+        assert sample_points(points, samples, 20260810, max_steps, workers) == _folded(
+            points, samples, 20260810, max_steps
+        )
+
+    def test_cases_cover_every_outcome(self):
+        stats = [s for points, samples, cap in self.CASES.values() for s in _folded(points, samples, 20260810, cap)]
+        assert all(sum(getattr(s, name) for s in stats) > 0 for name in (
+            "fixed_count", "periodic_count", "unresolved_count", "tail_sum",
+        ))
+
+    def test_tick_losing_mass_is_an_overflow_naming_the_sample(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "tick_kernel", lambda shape: np.zeros_like)
+        seed = mix_seed(41, 2, 0)
+        with pytest.raises(OverflowError, match=rf"grid_index=2, sample_index=0, seed={seed}\): .*mass not conserved"):
+            sample_points([(TorusShape((30,)), 0.7, 2)], 4, master_seed=41)
+
+    def test_exception_not_built_from_a_message_is_named_in_a_note(self, monkeypatch):
+        # such as numpy's MemoryError, which takes a shape and a dtype
+        class ShapeError(Exception):
+            def __init__(self, shape, dtype):
+                super().__init__(f"cannot allocate {shape} of {dtype}")
+
+        def failing(n, p, seed):
+            raise ShapeError((n,), "uint64")
+
+        monkeypatch.setattr(montecarlo, "_bernoulli_cells", failing)
+        with pytest.raises(ShapeError) as raised:
+            sample_points([(TorusShape((30,)), 0.7, 2)], 4, master_seed=41)
+        assert raised.value.__notes__ == [f"sample (grid_index=2, sample_index=0, seed={mix_seed(41, 2, 0)})"]
 
 
 def _sleep_then_return(args):
