@@ -29,10 +29,10 @@ from functools import partial
 from . import __version__
 from .dynamics import step
 from .lattice import UINT64_MAX, TorusShape, load_state, read_json
-from .montecarlo import TAIL_MIN_SIZE, SweepConfig, bernoulli_state, p_grid, sample_points
+from .montecarlo import TAIL_MIN_SIZE, SweepConfig, bernoulli_state, p_grid
 from .primitive import analytic_densities, replica_densities
 from .steady import OutcomeKind, default_max_steps, evolve
-from .verify import full_checks, quick_checks
+from .verify import Job, curve, full_checks, quick_checks
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -190,38 +190,29 @@ def sweep_rows(stats) -> list[list]:
     ]
 
 
-def write_points(out, columns, rows, points, samples, master_seed, max_steps, workers, progress) -> None:
-    """Run ``sample_points`` into the open CSV file ``out``: ``columns``, then each point's
-    ``rows(stats)``, flushed as soon as the point is complete and before ``progress(k, p, stats)``.
-    A stopped run leaves the rows of every complete point, a prefix of the full file."""
+def write_points(out, columns, rows, job: Job, workers, label="") -> None:
+    """Run ``job`` into the open CSV file ``out``: ``columns``, then each point's ``rows(stats)``,
+    flushed as soon as the point is complete and before its progress line, ``label`` first,
+    goes to stderr. A stopped run leaves the rows of every complete point, a prefix of the full file."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
 
     def write(k, p, stats):
         writer.writerows(rows(stats))
         out.flush()
-        progress(k, p, stats)
+        print(f"{label}[{k + 1}/{len(job.points)}] p={p:.4f} cells={stats.total_cells} fixed={stats.fixed_count} "
+              f"periodic={stats.periodic_count} unresolved={stats.unresolved_count}", file=sys.stderr, flush=True)
 
-    sample_points(points, samples, master_seed, max_steps, workers, write)
+    job.run(workers, write)
 
 
 def cmd_sweep(args) -> int:
     config = SweepConfig.from_json_dict(read_json(args.config))
     os.makedirs(args.out, exist_ok=True)
-    points = config.points()
-
-    def progress(i, p, stats):
-        print(
-            f"[{i + 1}/{len(points)}] p={p:.4f} fixed={stats.fixed_count} "
-            f"periodic={stats.periodic_count} unresolved={stats.unresolved_count}",
-            file=sys.stderr,
-            flush=True,
-        )
-
+    job = Job(curve(config.shape.dims, config.p_values()), config.samples, config.master_seed, config.max_steps)
     with output(os.path.join(args.out, "sweep.csv"), "sweep", config.to_json_dict(), config.master_seed,
                 manifest=os.path.join(args.out, "manifest.json")) as out:
-        write_points(out, SWEEP_COLUMNS, sweep_rows, points,
-                     config.samples, config.master_seed, config.max_steps, args.threads, progress)
+        write_points(out, SWEEP_COLUMNS, sweep_rows, job, args.threads)
     return EXIT_OK
 
 
@@ -277,71 +268,63 @@ def cmd_verify(args) -> int:
 
 MASTER_SEED = 20260810
 
-# samples per grid point, shared by every Monte Carlo dataset of a scale
-DEMO = {"samples": 300, "relax_sizes": (300, 1000, 3000, 10000)}
-FULL = {"samples": 10_000, "relax_sizes": (300, 500, 1000, 2000, 3000, 4000, 6000, 8000, 10_000)}
-
 
 def density(dims, samples):
     """Q_r(p) curves: the `groupform sweep` grid p = 0..0.96 in 96 steps."""
-    config = SweepConfig(TorusShape(dims), p_max=0.96, p_steps=96, samples=samples, master_seed=MASTER_SEED)
-    return SWEEP_COLUMNS, sweep_rows, config.points()
+    size = "x".join(map(str, dims)) if len(dims) > 1 else f"m{dims[0]}"
+    job = Job(curve(dims, p_grid(0.96, 96)), samples, MASTER_SEED)
+    return f"density{len(dims)}d", f"density_{len(dims)}d_{size}.csv", SWEEP_COLUMNS, sweep_rows, job
 
 
-def relaxation(sizes):
+def relaxation(sizes, samples):
     """Mean n_st against torus size; every point keeps grid index 0."""
-    columns = ("p", "m", "mean_n_st", "settled", "samples")
-    points = [(TorusShape((m,)), p, 0) for p in (0.35, 0.6, 0.85) for m in sizes]
-    return columns, lambda s: [[s.p, s.total_cells, s.mean_n_st(), s.fixed_count, s.samples]], points
+    job = Job([((m,), p, 0) for p in (0.35, 0.6, 0.85) for m in sizes], samples, MASTER_SEED)
+    return ("relaxation", "relaxation_times.csv", ("p", "m", "mean_n_st", "settled", "samples"),
+            lambda s: [[s.p, s.total_cells, s.mean_n_st(), s.fixed_count, s.samples]], job)
 
 
-def dense_2d():
+def dense_2d(samples):
     """Per-size density tables for very dense 2D initial states."""
-    points = [(TorusShape((200, 200)), p, i) for i, p in enumerate((0.9, 0.99))]
-    return ("p", "r", "mean_Q"), lambda s: [[s.p, r, s.mean_q(r)] for r in sorted(s.count_sums)], points
+    job = Job(curve((200, 200), (0.9, 0.99)), samples, MASTER_SEED)
+    return ("dense2d", "dense_2d_histograms.csv", ("p", "r", "mean_Q"),
+            lambda s: [[s.p, r, s.mean_q(r)] for r in sorted(s.count_sums)], job)
 
 
 def datasets(scale):
-    """The Monte Carlo datasets of a scale, in run order: (experiment, file name, job)."""
-    samples = scale["samples"]
+    """The Monte Carlo datasets of ``scale``, demo or full, in run order, each a row (experiment, file name,
+    columns, rows, job): ``write_dataset`` writes the columns, then each point's ``rows(stats)``."""
+    samples = 10_000 if scale == "full" else 300
+    sizes = (300, 500, 1000, 2000, 3000, 4000, 6000, 8000, 10_000) if scale == "full" else (300, 1000, 3000, 10_000)
     return [
-        ("density1d", "density_1d_m3000.csv", density((3000,), samples)),
-        ("density1d", "density_1d_m4000.csv", density((4000,), samples)),
-        ("relaxation", "relaxation_times.csv", relaxation(scale["relax_sizes"])),
-        ("density2d", "density_2d_100x150.csv", density((100, 150), samples)),
-        ("density2d", "density_2d_200x200.csv", density((200, 200), samples)),
-        ("dense2d", "dense_2d_histograms.csv", dense_2d()),
+        density((3000,), samples),
+        density((4000,), samples),
+        relaxation(sizes, samples),
+        density((100, 150), samples),
+        density((200, 200), samples),
+        dense_2d(samples),
     ]
 
 
-def write_dataset(path, job, samples, threads):
-    """Write ``job``, a ``(columns, rows, points)`` triple for ``write_points``, to ``path``
-    and, once it is complete, its manifest: the points, the samples per point and the seed."""
-    columns, rows, points = job
-    name, started = os.path.basename(path), time.time()
-
-    def progress(k, p, stats):
-        print(f"  {name} [{k + 1}/{len(points)}] p={p:.4f} cells={stats.total_cells} fixed={stats.fixed_count}",
-              file=sys.stderr, flush=True)
-
-    parameters = {"points": [[list(shape.dims), p, i] for shape, p, i in points], "samples": samples}
-    with output(path, "figures", parameters, MASTER_SEED) as out:
-        write_points(out, columns, rows, points, samples, MASTER_SEED,
-                     max_steps=None, workers=threads, progress=progress)
+def write_dataset(path, dataset, threads):
+    """Write ``dataset`` to ``path``, then its manifest: its job's points, samples per point and seed."""
+    *_, columns, rows, job = dataset
+    started = time.time()
+    with output(path, "figures", {"points": job.points, "samples": job.samples}, job.seed) as out:
+        write_points(out, columns, rows, job, threads, f"  {os.path.basename(path)} ")
     print(f"wrote {path} in {time.time() - started:.0f}s", file=sys.stderr, flush=True)
 
 
 def cmd_figures(args) -> int:
-    scale = FULL if args.scale == "full" else DEMO
     os.makedirs(args.out, exist_ok=True)
     if args.experiment in ("all", "onestep"):
         # the file and manifest that `groupform primitive --seeds 100 --seed MASTER_SEED` writes
         path = os.path.join(args.out, "onestep_densities.csv")
         write_primitive_csv(path, 10_000, 1.0, 100, 100, MASTER_SEED)
         print(f"wrote {path}", file=sys.stderr, flush=True)
-    for experiment, file_name, job in datasets(scale):
+    for dataset in datasets(args.scale):
+        experiment, file_name, *_ = dataset
         if args.experiment in ("all", experiment):
-            write_dataset(os.path.join(args.out, file_name), job, scale["samples"], args.threads)
+            write_dataset(os.path.join(args.out, file_name), dataset, args.threads)
     return EXIT_OK
 
 
@@ -394,9 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig = add_command("figures", help="write the figure datasets, one CSV and manifest each")
     fig.add_argument("--out", default="results", help="output directory (default results)")
+    samples = {s: "/".join(map(str, sorted({job.samples for *_, job in datasets(s)}))) for s in ("demo", "full")}
     fig.add_argument("--scale", choices=("demo", "full"), default="demo",
-                     help="samples per grid point: demo 300 (default), full 10000")
-    experiments = ("all", "onestep", *dict.fromkeys(experiment for experiment, _, _ in datasets(DEMO)))
+                     help=f"samples per grid point: demo {samples['demo']} (default), full {samples['full']}")
+    experiments = ("all", "onestep", *dict.fromkeys(experiment for experiment, *_ in datasets("demo")))
     fig.add_argument("--experiment", choices=experiments, default="all", help="datasets to write (default all)")
     fig.add_argument("--threads", **workers, help="worker processes")
     fig.set_defaults(func=cmd_figures)

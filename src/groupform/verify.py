@@ -1,4 +1,5 @@
-"""Named correctness and reproduction checks.
+"""Named correctness and reproduction checks, and ``Job``, the one runner
+of every sampled aggregate.
 
 Two tiers: quick checks (exact worked examples, oracle equivalence,
 conservation and symmetry properties on tens of thousands of random
@@ -10,19 +11,20 @@ spread), about 30-40 s in all at two workers on a 2-core host.
 
 Each check is defined once, here, and the CLI and the acceptance gate
 call it as is: a property check is a ``PROPERTIES`` row run by
-``check_property``, a statistical check a ``STATISTICS`` row (points,
-samples, seed, and a verdict holding its tolerance and expected values)
-run by ``check_statistic``. Only ``workers`` and the sizes tests shrink
-(``n_states``, the primitive check's ``m``/``n_seeds``) are parameters;
-a test shrinks a statistical check by swapping in a smaller row.
+``check_property``, a statistical check a ``STATISTICS`` row ``(job,
+verdict)``, the verdict holding its tolerance and expected values, run by
+``check_statistic``. A ``Job`` is ``(points, samples, seed)``, each point
+``(torus dims, p, grid_index)``, and the ``max_steps`` a sweep may set;
+``Job.run`` aggregates it in one ``sample_points`` call, bit-exact at any
+worker count. ``groupform sweep`` and each ``figures`` dataset are jobs
+too. Only ``workers`` and the sizes tests shrink (``n_states``, the
+primitive check's ``m``/``n_seeds``) are parameters; a test shrinks a
+statistical check by swapping in a row with a smaller job.
 
-Every check is deterministic: random inputs come from fixed seeds, and
-each statistical check runs its grid points as one ``sample_points`` job,
-bit-exact at any worker count. The property checks (``PROPERTIES``:
-oracle equivalence, conservation, symmetry) run through
-``check_property`` in this process on one seeded stream per dimension, so
-the states they draw, and the first failure they report, depend only on
-the seed and ``n_states``. A step that changes a state's mass raises
+Every check is deterministic: random inputs come from fixed seeds. The
+property checks run in this process on one seeded stream per dimension,
+so the states they draw, and the first failure they report, depend only
+on the seed and ``n_states``. A step that changes a state's mass raises
 ``OverflowError`` (from ``conserved_state``); each property check reports
 that as its FAIL on the state it was stepping.
 """
@@ -37,7 +39,7 @@ import numpy as np
 
 from .dynamics import step, step_oracle
 from .lattice import LatticeState, TorusShape
-from .montecarlo import GridPointStats, mix_seed, sample_points
+from .montecarlo import GridPointStats, mix_seed, p_grid, sample_points
 from .primitive import analytic_densities, replica_densities
 from .steady import evolve
 
@@ -185,8 +187,7 @@ def check_primitive_mass_identity() -> CheckResult:
 
     def run():
         worst = 0.0
-        for i in range(grid_points + 1):
-            p = i / grid_points
+        for p in p_grid(1.0, grid_points):
             q1, q2, q3 = analytic_densities(p)
             worst = max(worst, abs(q1 + 2.0 * q2 + 3.0 * q3 - p))
         return worst <= 1e-15, f"max |q1 + 2 q2 + 3 q3 - p| = {worst:.3e} over {grid_points + 1} points"
@@ -215,7 +216,28 @@ def check_primitive_convergence(m: int = 10_000, n_seeds: int = 100) -> CheckRes
 
 
 # ---------------------------------------------------------------------------
-# full (statistical reproduction) checks: verdicts on sampled grid points
+# sampled aggregates: the one job type, and the full (statistical reproduction) checks
+
+
+@dataclass(frozen=True)
+class Job:
+    """``samples`` trajectories from master ``seed`` at each point, capped at ``max_steps`` (None: the default)."""
+
+    points: list[tuple[tuple[int, ...], float, int]]
+    samples: int
+    seed: int
+    max_steps: int | None = None
+
+    def run(self, workers: int = 1, progress=None) -> list[GridPointStats]:
+        """The points' stats, in order; ``progress(k, p, stats)`` follows each point."""
+        points = [(TorusShape(dims), p, grid_index) for dims, p, grid_index in self.points]
+        return sample_points(points, self.samples, self.seed, self.max_steps, workers, progress)
+
+
+def curve(dims: tuple[int, ...], p_values) -> list[tuple[tuple[int, ...], float, int]]:
+    """Points at each of ``p_values`` on one torus, with grid indices 0, 1, ..."""
+    return [(dims, p, grid_index) for grid_index, p in enumerate(p_values)]
+
 
 # Published mean settling time n_st at p=0.8, by 1D torus size M; n_st is
 # the smallest n with T(n+1) = T(n). The relaxation rows' 2000 samples (the
@@ -236,6 +258,8 @@ def _relaxation(stats: list[GridPointStats]) -> tuple[bool, str]:
 
 def _q2_dominance(stats: list[GridPointStats]) -> tuple[bool, str]:
     for point in stats:
+        if point.fixed_count == 0:  # no Q_r to compare
+            return False, f"at p={point.p}: 0 of {point.samples} samples settled"
         q2 = point.mean_q(2)
         rivals = {r: point.mean_q(r) for r in (1, 3, 4)}
         loser = next((r for r, q in rivals.items() if q2 <= q), None)
@@ -271,30 +295,21 @@ def _spread_2d(stats: list[GridPointStats]) -> tuple[bool, str]:
     )
 
 
-# check name -> (points as (torus dims, p, grid index), samples per point,
-# seed, verdict on the points' stats in order -> (passed, detail)).
+# check name -> (job, verdict on the job's stats in order -> (passed, detail))
 STATISTICS = {
-    "relaxation-time-m3000": ([((3000,), 0.8, 0)], 2000, 1007, _relaxation),
-    "relaxation-time-m4000": ([((4000,), 0.8, 0)], 2000, 1007, _relaxation),
-    "q2-dominance": (
-        [((3000,), p, i) for i, p in enumerate((0.70, 0.75, 0.80, 0.85, 0.90, 0.95))],
-        1000, 1008, _q2_dominance,
-    ),
-    "m-insensitivity": ([((300,), 0.6, 0), ((3000,), 0.6, 0)], 2000, 1009, _m_insensitivity),
-    "steady-prevalence": (
-        [((3000,), p, i) for i, p in enumerate((0.5, 0.8, 0.9, 0.95))],
-        2000, 1010, _steady_prevalence,
-    ),
-    "2d-density-spread": ([((200, 200), 0.9, 0), ((3000,), 0.9, 1)], 500, 1011, _spread_2d),
+    "relaxation-time-m3000": (Job([((3000,), 0.8, 0)], 2000, 1007), _relaxation),
+    "relaxation-time-m4000": (Job([((4000,), 0.8, 0)], 2000, 1007), _relaxation),
+    "q2-dominance": (Job(curve((3000,), (0.70, 0.75, 0.80, 0.85, 0.90, 0.95)), 1000, 1008), _q2_dominance),
+    "m-insensitivity": (Job([((300,), 0.6, 0), ((3000,), 0.6, 0)], 2000, 1009), _m_insensitivity),
+    "steady-prevalence": (Job(curve((3000,), (0.5, 0.8, 0.9, 0.95)), 2000, 1010), _steady_prevalence),
+    "2d-density-spread": (Job([((200, 200), 0.9, 0), ((3000,), 0.9, 1)], 500, 1011), _spread_2d),
 }
 
 
 def check_statistic(name: str, workers: int = 1) -> CheckResult:
-    """Sample the ``STATISTICS`` check ``name``'s points as one
-    ``sample_points`` job and apply its verdict to their stats."""
-    points, samples, seed, verdict = STATISTICS[name]
-    shapes = [(TorusShape(dims), p, grid_index) for dims, p, grid_index in points]
-    return _timed(name, lambda: verdict(sample_points(shapes, samples, seed, workers=workers)))
+    """Run the ``STATISTICS`` check ``name``'s job and apply its verdict to the stats."""
+    job, verdict = STATISTICS[name]
+    return _timed(name, lambda: verdict(job.run(workers)))
 
 
 # ---------------------------------------------------------------------------

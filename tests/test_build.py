@@ -200,6 +200,8 @@ def test_import_loads_no_pool_json_or_openssl():
     assert done.returncode == 0, done.stderr
     loaded = set(done.stdout.split())
     assert "groupform.montecarlo" in loaded
+    # the benchmark imports only the package, so edits to the CLI and check layers stay out of its process
+    assert loaded.isdisjoint({"groupform.cli", "groupform.verify"}), loaded
     assert loaded.isdisjoint({"multiprocessing", "socket", "selectors", "signal", "json", "hashlib", "_hashlib"}), loaded
 
 

@@ -484,7 +484,7 @@ class TestFigureScript:
     def test_pinned_relaxation_curves(self, tmp_path):
         for threads in (1, 2):
             path = tmp_path / f"relaxation-{threads}.csv"
-            cli.write_dataset(str(path), cli.relaxation((30, 60)), samples=3, threads=threads)
+            cli.write_dataset(str(path), cli.relaxation((30, 60), 3), threads=threads)
             assert path.read_text() == (
                 "p,m,mean_n_st,settled,samples\n"
                 "0.35,30,2.3333333333333335,3,3\n"
@@ -498,7 +498,7 @@ class TestFigureScript:
     def test_pinned_dense_2d_histograms(self, tmp_path):
         for threads in (1, 2):
             path = tmp_path / f"dense-{threads}.csv"
-            cli.write_dataset(str(path), cli.dense_2d(), samples=2, threads=threads)
+            cli.write_dataset(str(path), cli.dense_2d(2), threads=threads)
             lines = path.read_text().splitlines()
             assert lines[:3] == ["p,r,mean_Q", "0.9,1,0.018175", "0.9,2,0.0151"]
             assert "0.9,34,8.75e-05" in lines and lines[-1] == "0.99,61,1.25e-05"
@@ -512,14 +512,14 @@ class TestFigureScript:
         config = write_json(tmp_path / "config.json", payload)
         for threads in (1, 2):
             path = tmp_path / f"density-{threads}.csv"
-            cli.write_dataset(str(path), cli.density((30,), 3), samples=3, threads=threads)
+            cli.write_dataset(str(path), cli.density((30,), 3), threads=threads)
             out = tmp_path / f"cli-{threads}"
             assert main(["sweep", config, "--out", str(out), "--threads", str(threads)]) == 0
             assert path.read_bytes() == (out / "sweep.csv").read_bytes(), threads
 
     def test_dataset_manifest_records_points_samples_and_seed(self, tmp_path):
         path = tmp_path / "relaxation.csv"
-        cli.write_dataset(str(path), cli.relaxation((30, 60)), samples=3, threads=1)
+        cli.write_dataset(str(path), cli.relaxation((30, 60), 3), threads=1)
         manifest = json.loads((tmp_path / "relaxation.csv.manifest.json").read_text())
         assert manifest["outputs"] == [str(path)]
         assert manifest["parameters"] == {
@@ -534,10 +534,10 @@ class TestFigureScript:
             # each stopped run reuses the file of a complete one, whose manifest it removes
             path = tmp_path / f"relaxation-{threads}.csv"
             monkeypatch.setattr(sys, "stderr", io.StringIO())
-            cli.write_dataset(str(path), cli.relaxation((30, 60)), samples=3, threads=threads)
+            cli.write_dataset(str(path), cli.relaxation((30, 60), 3), threads=threads)
             monkeypatch.setattr(sys, "stderr", StopAfterLines(2))
             with pytest.raises(Stopped):
-                cli.write_dataset(str(path), cli.relaxation((30, 60)), samples=3, threads=threads)
+                cli.write_dataset(str(path), cli.relaxation((30, 60), 3), threads=threads)
             assert path.read_text() == (
                 "p,m,mean_n_st,settled,samples\n"
                 "0.35,30,2.3333333333333335,3,3\n"

@@ -3,16 +3,18 @@
 The digests and detail strings of the property checks were recorded when
 they moved to one seeded stream per dimension; any change to which random
 states a check draws, in what order, or how it reports them changes
-these. The statistical checks' points, sample counts and seeds are pinned
-as literals, so that none of them shrinks unnoticed.
+these. The statistical checks' jobs (points, sample counts and seeds) and
+the figure datasets' jobs at both scales are pinned as literals, so that
+none of them shrinks unnoticed.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from groupform import LatticeState, verify
+from groupform import LatticeState, cli, verify
 from groupform.dynamics import conserved_state
 from groupform.montecarlo import GridPointStats
 
@@ -100,8 +102,8 @@ UNDER_DROPPING_STEP = {
     "reflection-equivariance": _LOST + "[3, 1, 0, 1, 3, 2, 3, 2, 3, 0, 2, 3, 2, 1, 0]",
 }
 
-# check name -> (points as (torus dims, p, grid index), samples per point,
-# seed), in the order ``full_checks`` runs them
+# check name -> its job's (points as (torus dims, p, grid index), samples per
+# point, seed), in the order ``full_checks`` runs them
 SAMPLED = {
     "relaxation-time-m3000": ([((3000,), 0.8, 0)], 2000, 1007),
     "relaxation-time-m4000": ([((4000,), 0.8, 0)], 2000, 1007),
@@ -120,6 +122,27 @@ SAMPLED = {
     "2d-density-spread": ([((200, 200), 0.9, 0), ((3000,), 0.9, 1)], 500, 1011),
 }
 
+# scale -> each figure dataset's (experiment, file name, point count, first
+# point, last point, samples per point, seed), in the order ``figures`` runs them
+DATASETS = {
+    "demo": [
+        ("density1d", "density_1d_m3000.csv", 97, ((3000,), 0.0, 0), ((3000,), 0.96, 96), 300, 20260810),
+        ("density1d", "density_1d_m4000.csv", 97, ((4000,), 0.0, 0), ((4000,), 0.96, 96), 300, 20260810),
+        ("relaxation", "relaxation_times.csv", 12, ((300,), 0.35, 0), ((10000,), 0.85, 0), 300, 20260810),
+        ("density2d", "density_2d_100x150.csv", 97, ((100, 150), 0.0, 0), ((100, 150), 0.96, 96), 300, 20260810),
+        ("density2d", "density_2d_200x200.csv", 97, ((200, 200), 0.0, 0), ((200, 200), 0.96, 96), 300, 20260810),
+        ("dense2d", "dense_2d_histograms.csv", 2, ((200, 200), 0.9, 0), ((200, 200), 0.99, 1), 300, 20260810),
+    ],
+    "full": [
+        ("density1d", "density_1d_m3000.csv", 97, ((3000,), 0.0, 0), ((3000,), 0.96, 96), 10000, 20260810),
+        ("density1d", "density_1d_m4000.csv", 97, ((4000,), 0.0, 0), ((4000,), 0.96, 96), 10000, 20260810),
+        ("relaxation", "relaxation_times.csv", 27, ((300,), 0.35, 0), ((10000,), 0.85, 0), 10000, 20260810),
+        ("density2d", "density_2d_100x150.csv", 97, ((100, 150), 0.0, 0), ((100, 150), 0.96, 96), 10000, 20260810),
+        ("density2d", "density_2d_200x200.csv", 97, ((200, 200), 0.0, 0), ((200, 200), 0.96, 96), 10000, 20260810),
+        ("dense2d", "dense_2d_histograms.csv", 2, ((200, 200), 0.9, 0), ((200, 200), 0.99, 1), 10000, 20260810),
+    ],
+}
+
 
 def _point(p, total_cells, samples, **sums):
     """Hand-built stats for one grid point; ``fixed_count`` defaults to ``samples``."""
@@ -136,6 +159,10 @@ FAILING = {
     "relaxation-time-m4000": (
         [_point(0.8, 4000, 10, fixed_count=8, periodic_count=2, n_st_sum=400)],
         "mean n_st = 50.00 over 8 settled samples (expected 52.5 +/- 2.0)",
+    ),
+    "q2-dominance": (
+        [_point(0.8, 30, 5, fixed_count=0, unresolved_count=5)],
+        "at p=0.8: 0 of 5 samples settled",
     ),
     "m-insensitivity": (
         [_point(0.6, 300, 4, count_sums={1: 120, 2: 60}),
@@ -191,8 +218,17 @@ def test_every_property_is_pinned():
 
 
 def test_every_statistic_is_pinned():
-    rows = [(name, points, samples, seed) for name, (points, samples, seed, _) in verify.STATISTICS.items()]
-    assert rows == [(name, *row) for name, row in SAMPLED.items()]
+    jobs = [(name, job) for name, (job, _) in verify.STATISTICS.items()]
+    assert jobs == [(name, verify.Job(*row)) for name, row in SAMPLED.items()]
+
+
+@pytest.mark.parametrize("scale", sorted(DATASETS))
+def test_every_dataset_is_pinned(scale):
+    rows = [
+        (experiment, file_name, len(job.points), job.points[0], job.points[-1], job.samples, job.seed)
+        for experiment, file_name, _, _, job in cli.datasets(scale)
+    ]
+    assert rows == DATASETS[scale]
 
 
 @pytest.mark.parametrize("name", sorted(FAILING))
@@ -249,9 +285,9 @@ def test_mass_fault_is_a_failure(monkeypatch):
 def test_q2_dominance_detail_and_one_pool(monkeypatch, recording_pool):
     # recorded while each grid point still built a pool of its own
     built, maps = recording_pool
-    points, _, seed, verdict = verify.STATISTICS["q2-dominance"]
-    small = [((30,), p, grid_index) for _, p, grid_index in points]
-    monkeypatch.setitem(verify.STATISTICS, "q2-dominance", (small, 8, seed, verdict))
+    job, verdict = verify.STATISTICS["q2-dominance"]
+    small = dataclasses.replace(job, points=[((30,), p, grid_index) for _, p, grid_index in job.points], samples=8)
+    monkeypatch.setitem(verify.STATISTICS, "q2-dominance", (small, verdict))
     result = verify.check_statistic("q2-dominance", workers=2)
     assert (result.passed, result.detail) == (False, "at p=0.95: Q_2=0.0000 not above Q_1=1.0000")
     assert len(built) == 1
