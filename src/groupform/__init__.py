@@ -14,6 +14,7 @@ from .lattice import LatticeState, TorusShape, load_state
 from .montecarlo import (
     GroupHistogram,
     GridPointStats,
+    Job,
     SampleResult,
     SweepConfig,
     bernoulli_state,
@@ -28,6 +29,7 @@ from .steady import OutcomeKind, TrajectoryOutcome, default_max_steps, evolve
 __all__ = [
     "GroupHistogram",
     "GridPointStats",
+    "Job",
     "LatticeState",
     "OutcomeKind",
     "SampleResult",

@@ -29,10 +29,10 @@ from functools import partial
 from . import __version__
 from .dynamics import step
 from .lattice import UINT64_MAX, TorusShape, load_state, read_json
-from .montecarlo import TAIL_MIN_SIZE, SweepConfig, bernoulli_state, p_grid
+from .montecarlo import TAIL_MIN_SIZE, Job, SweepConfig, bernoulli_state, curve, p_grid, sample_points
 from .primitive import analytic_densities, replica_densities
 from .steady import OutcomeKind, default_max_steps, evolve
-from .verify import Job, curve, full_checks, quick_checks
+from .verify import full_checks, quick_checks
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -203,16 +203,15 @@ def write_points(out, columns, rows, job: Job, workers, label="") -> None:
         print(f"{label}[{k + 1}/{len(job.points)}] p={p:.4f} cells={stats.total_cells} fixed={stats.fixed_count} "
               f"periodic={stats.periodic_count} unresolved={stats.unresolved_count}", file=sys.stderr, flush=True)
 
-    job.run(workers, write)
+    sample_points(job, workers, write)
 
 
 def cmd_sweep(args) -> int:
     config = SweepConfig.from_json_dict(read_json(args.config))
     os.makedirs(args.out, exist_ok=True)
-    job = Job(curve(config.shape.dims, config.p_values()), config.samples, config.master_seed, config.max_steps)
     with output(os.path.join(args.out, "sweep.csv"), "sweep", config.to_json_dict(), config.master_seed,
                 manifest=os.path.join(args.out, "manifest.json")) as out:
-        write_points(out, SWEEP_COLUMNS, sweep_rows, job, args.threads)
+        write_points(out, SWEEP_COLUMNS, sweep_rows, config.job(), args.threads)
     return EXIT_OK
 
 

@@ -7,19 +7,21 @@ integer accumulation (counts and squared counts); division happens once
 at reporting time, so results are bit-identical for a given config no
 matter how the samples are scheduled across workers.
 
-Every aggregate (a p-grid sweep, a statistical check, a figure dataset)
-is a list of ``(shape, p, grid_index)`` points run by ``sample_points``,
-the one runner. Its sample blocks work on raw int64 arrays: draw, settle
-(``steady._settle``), mass check and size count, summed straight into a
-``GridPointStats``. ``run_sample`` (with ``bernoulli_state``, ``evolve``
-and ``measure``) is the one-sample API, for the CLI and callers that want
-a sample's states; folding its results through ``add_sample`` gives the
-same sums. ``sample_points`` owns the only process pool, ``Pool``: one
-pipe per worker process, fed from the calling thread with no helper
-thread, and a worker that dies is an error, not a hang. The pool
-machinery (``multiprocessing``) loads at the first ``workers`` > 1 call,
-so a serial run and ``import groupform`` never pay for it. The block of
-benchmark hooks at the end of the module wraps it for ``perfbench/`` only.
+Every aggregate (a p-grid sweep, a statistical check, a figure dataset) is
+a ``Job``: ``(dims, p, grid_index)`` points, samples per point, a master
+seed and a cap, run by ``sample_points``, the one runner, which checks
+every point and the cap before any sample runs. Its sample blocks work on
+raw int64 arrays: draw, settle (``steady._settle``), mass check and size
+count, summed straight into a ``GridPointStats``. ``run_sample`` (with
+``bernoulli_state``, ``evolve`` and ``measure``) is the one-sample API,
+for the CLI and callers that want a sample's states; folding its results
+through ``add_sample`` gives the same sums. ``sample_points`` owns the
+only process pool, ``Pool``: one pipe per worker process, fed from the
+calling thread with no helper thread, and a worker that dies is an error,
+not a hang. The pool machinery (``multiprocessing``) loads at the first
+``workers`` > 1 call, so a serial run and ``import groupform`` never pay
+for it. The block of benchmark hooks at the end of the module wraps it for
+``perfbench/`` only.
 
 Per-sample seeds come from a fixed avalanche-quality 64-bit mix of
 (master_seed, grid_index, sample_index), so any sample can be re-run in
@@ -65,6 +67,11 @@ def mix_seed(master_seed: int, grid_index: int, sample_index: int) -> int:
     return h
 
 
+def _check_p(p: float) -> None:
+    if not 0.0 <= p <= 1.0:  # NaN fails it too
+        raise ValueError(f"p must be in [0, 1], got {p}")
+
+
 def _bernoulli_cells(n: int, p: float, seed: int) -> np.ndarray:
     """``n`` booleans, each True with probability p: the top 53 bits of each
     of ``PCG64(seed)``'s first ``n`` raw words, compared with ceil(p * 2**53).
@@ -75,8 +82,7 @@ def _bernoulli_cells(n: int, p: float, seed: int) -> np.ndarray:
     releases more strictly than ``Generator``'s methods (NEP 19), so the
     seed-to-state map, and with it every pinned output, rests on PCG64 alone.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    _check_p(p)
     words = np.random.PCG64(seed).random_raw(n)
     words >>= 11  # in place: a second array of this size costs more than the shift
     return words < math.ceil(p * 2**53)
@@ -97,9 +103,6 @@ class GroupHistogram:
     def density(self, r: int) -> float:
         """Q_r: fraction of all cells occupied by an r-element group."""
         return self.counts.get(r, 0) / self.total_cells
-
-    def tail_count(self) -> int:
-        return sum(c for r, c in self.counts.items() if r >= TAIL_MIN_SIZE)
 
 
 def measure(state: LatticeState) -> GroupHistogram:
@@ -223,6 +226,22 @@ def p_grid(p_max: float, p_steps: int) -> list[float]:
 
 
 @dataclass(frozen=True)
+class Job:
+    """``samples`` trajectories from master ``seed`` at each ``(torus dims, p,
+    grid_index)`` point, capped at ``max_steps`` (None: the default)."""
+
+    points: list[tuple[tuple[int, ...], float, int]]
+    samples: int
+    seed: int
+    max_steps: int | None = None
+
+
+def curve(dims: tuple[int, ...], p_values) -> list[tuple[tuple[int, ...], float, int]]:
+    """Points at each of ``p_values`` on one torus, with grid indices 0, 1, ..."""
+    return [(dims, p, grid_index) for grid_index, p in enumerate(p_values)]
+
+
+@dataclass(frozen=True)
 class SweepConfig:
     """A Monte Carlo sweep over ``p_grid(p_max, p_steps)``.
 
@@ -256,9 +275,9 @@ class SweepConfig:
     def p_values(self) -> list[float]:
         return p_grid(self.p_max, self.p_steps)
 
-    def points(self) -> list[tuple[TorusShape, float, int]]:
-        """The sweep's ``(shape, p, grid_index)`` points, in grid order."""
-        return [(self.shape, p, i) for i, p in enumerate(self.p_values())]
+    def job(self) -> Job:
+        """The sweep as a run: a ``curve`` over the grid, with its samples, seed and cap."""
+        return Job(curve(self.shape.dims, self.p_values()), self.samples, self.master_seed, self.max_steps)
 
     def resolved_max_steps(self) -> int:  # a benchmark hook, see the module's end
         return self.max_steps if self.max_steps is not None else default_max_steps(self.shape)
@@ -287,9 +306,9 @@ class SweepConfig:
 def _sample_block(args) -> GridPointStats:
     """Samples ``j_start`` to ``j_end - 1`` of one point, in one accumulator.
 
-    The sweep path works on raw int64 arrays, with the cap and the tick
-    kernel resolved once per block. Each sample is drawn by
-    ``_bernoulli_cells``, settled by ``steady._settle``, checked for mass
+    The sweep path works on raw int64 arrays, with the tick kernel resolved
+    once per block (``sample_points`` resolves the cap). Each sample is drawn
+    by ``_bernoulli_cells``, settled by ``steady._settle``, checked for mass
     and, if fixed, counted by size with ``np.bincount``; no
     ``LatticeState``, ``TrajectoryOutcome``, ``GroupHistogram`` or
     ``SampleResult`` is built. The sums are those of ``run_sample``, the
@@ -298,7 +317,6 @@ def _sample_block(args) -> GridPointStats:
     and seed, which ``groupform simulate --seed`` replays.
     """
     shape, p, grid_index, j_start, j_end, master_seed, max_steps = args
-    max_steps = _resolve_cap(shape, max_steps)
     tick = tick_kernel(shape)
     n = shape.total_cells
     stats = GridPointStats(p=p, grid_index=grid_index, total_cells=n)
@@ -440,35 +458,37 @@ def _ignore_sigint() -> None:
 
 
 def sample_points(
-    points: Sequence[tuple[TorusShape, float, int]],
-    samples: int,
-    master_seed: int,
-    max_steps: int | None = None,
+    job: Job,
     workers: int = 1,
     progress: Callable[[int, float, GridPointStats], None] | None = None,
 ) -> list[GridPointStats]:
-    """Aggregate ``samples`` trajectories at each ``(shape, p, grid_index)``
-    point, in order; ``progress(k, p, stats)`` follows each point's merge.
+    """Aggregate ``job.samples`` trajectories at each of ``job``'s points, in
+    order; ``progress(k, p, stats)`` follows each point's merge.
 
-    This is the one runner: each point's samples run in blocks of
-    ``_sample_block``, on raw arrays rather than through ``run_sample``,
-    either in this process or, for ``workers`` > 1, on one ``Pool`` of
-    that many processes that lives for this call, one ``map`` per point.
-    This thread feeds each worker one block at a time over the worker's own
-    pipe; a block that raises re-raises here, naming the failing sample's
-    grid index, sample index and seed, and a worker that dies is a
-    ``RuntimeError``. The result is identical for any ``workers`` count:
-    the blocks' integer accumulators are merged, and merging commutes.
+    This is the one runner. It checks every point's torus, p and seeds, and
+    the cap, before any worker starts. Each point's samples then run in
+    blocks of ``_sample_block``, on raw arrays rather than through
+    ``run_sample``, either in this process or, for ``workers`` > 1, on one
+    ``Pool`` of that many processes that lives for this call, one ``map``
+    per point. This thread feeds each worker one block at a time over the
+    worker's own pipe; a block that raises re-raises here, naming the
+    failing sample's grid index, sample index and seed, and a worker that
+    dies is a ``RuntimeError``. The result is identical for any ``workers``
+    count: the blocks' integer accumulators are merged, and merging commutes.
     """
-    blocks = _blocks(samples, workers)
-    for _, _, grid_index in points:
-        mix_seed(master_seed, grid_index, 0)  # a bad seed fails here, before any worker starts
+    blocks = _blocks(job.samples, workers)
+    points = []
+    for dims, p, grid_index in job.points:
+        shape = TorusShape(dims)
+        _check_p(p)
+        mix_seed(job.seed, grid_index, 0)
+        points.append((shape, p, grid_index, _resolve_cap(shape, job.max_steps)))
     results: list[GridPointStats] = []
     with Pool(processes=workers, initializer=_ignore_sigint) if workers > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
-        for k, (shape, p, grid_index) in enumerate(points):
+        for k, (shape, p, grid_index, max_steps) in enumerate(points):
             stats = GridPointStats(p=p, grid_index=grid_index, total_cells=shape.total_cells)
-            args = [(shape, p, grid_index, j0, j1, master_seed, max_steps) for j0, j1 in blocks]
+            args = [(shape, p, grid_index, j0, j1, job.seed, max_steps) for j0, j1 in blocks]
             for part in run(_sample_block, args):
                 stats.merge(part)
             results.append(stats)
@@ -479,9 +499,9 @@ def sample_points(
 
 # -- benchmark hooks --
 # ``perfbench/`` calls or patches these as ``montecarlo.<name>``, and reads
-# ``SweepConfig.resolved_max_steps``; the library does not use them. They
-# are deleted once the benchmark runs ``sample_points`` itself (the
-# ROADMAP's "One public runner" item).
+# ``SweepConfig.resolved_max_steps``; the library does not use them. The two
+# runners are one ``sample_points(Job(...))`` call each, and go once the
+# benchmark makes that call itself (ROADMAP: "Delete what only the benchmark keeps").
 
 
 @dataclass(frozen=True)
@@ -498,7 +518,7 @@ def sample_grid_point(
     workers: int = 1,
 ) -> GridPointStats:
     """Aggregate ``samples`` trajectories at one p value: a one-point ``sample_points`` run."""
-    return sample_points([(shape, p, grid_index)], samples, master_seed, workers=workers)[0]
+    return sample_points(Job([(shape.dims, p, grid_index)], samples, master_seed), workers)[0]
 
 
 def run_sweep(
@@ -507,6 +527,4 @@ def run_sweep(
     progress: Callable[[int, float, GridPointStats], None] | None = None,
 ) -> SweepResult:
     """Run the whole p-grid; deterministic given the config, at any parallelism."""
-    return SweepResult(
-        sample_points(config.points(), config.samples, config.master_seed, config.max_steps, workers, progress)
-    )
+    return SweepResult(sample_points(config.job(), workers, progress))

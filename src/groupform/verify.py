@@ -1,5 +1,4 @@
-"""Named correctness and reproduction checks, and ``Job``, the one runner
-of every sampled aggregate.
+"""Named correctness and reproduction checks.
 
 Two tiers: quick checks (exact worked examples, oracle equivalence,
 conservation and symmetry properties on tens of thousands of random
@@ -13,13 +12,12 @@ Each check is defined once, here, and the CLI and the acceptance gate
 call it as is: a property check is a ``PROPERTIES`` row run by
 ``check_property``, a statistical check a ``STATISTICS`` row ``(job,
 verdict)``, the verdict holding its tolerance and expected values, run by
-``check_statistic``. A ``Job`` is ``(points, samples, seed)``, each point
-``(torus dims, p, grid_index)``, and the ``max_steps`` a sweep may set;
-``Job.run`` aggregates it in one ``sample_points`` call, bit-exact at any
-worker count. ``groupform sweep`` and each ``figures`` dataset are jobs
-too. Only ``workers`` and the sizes tests shrink (``n_states``, the
-primitive check's ``m``/``n_seeds``) are parameters; a test shrinks a
-statistical check by swapping in a row with a smaller job.
+``check_statistic``. A job is a ``montecarlo.Job``, run by one
+``sample_points`` call, bit-exact at any worker count, as ``groupform
+sweep`` and each ``figures`` dataset are. Only ``workers`` and the sizes
+tests shrink (``n_states``, the primitive check's ``m``/``n_seeds``) are
+parameters; a test shrinks a statistical check by swapping in a row with
+a smaller job.
 
 Every check is deterministic: random inputs come from fixed seeds. The
 property checks run in this process on one seeded stream per dimension,
@@ -39,7 +37,7 @@ import numpy as np
 
 from .dynamics import step, step_oracle
 from .lattice import LatticeState, TorusShape
-from .montecarlo import GridPointStats, mix_seed, p_grid, sample_points
+from .montecarlo import GridPointStats, Job, curve, mix_seed, p_grid, sample_points
 from .primitive import analytic_densities, replica_densities
 from .steady import evolve
 
@@ -216,27 +214,7 @@ def check_primitive_convergence(m: int = 10_000, n_seeds: int = 100) -> CheckRes
 
 
 # ---------------------------------------------------------------------------
-# sampled aggregates: the one job type, and the full (statistical reproduction) checks
-
-
-@dataclass(frozen=True)
-class Job:
-    """``samples`` trajectories from master ``seed`` at each point, capped at ``max_steps`` (None: the default)."""
-
-    points: list[tuple[tuple[int, ...], float, int]]
-    samples: int
-    seed: int
-    max_steps: int | None = None
-
-    def run(self, workers: int = 1, progress=None) -> list[GridPointStats]:
-        """The points' stats, in order; ``progress(k, p, stats)`` follows each point."""
-        points = [(TorusShape(dims), p, grid_index) for dims, p, grid_index in self.points]
-        return sample_points(points, self.samples, self.seed, self.max_steps, workers, progress)
-
-
-def curve(dims: tuple[int, ...], p_values) -> list[tuple[tuple[int, ...], float, int]]:
-    """Points at each of ``p_values`` on one torus, with grid indices 0, 1, ..."""
-    return [(dims, p, grid_index) for grid_index, p in enumerate(p_values)]
+# full checks: statistical reproductions, each a sampled job and its verdict
 
 
 # Published mean settling time n_st at p=0.8, by 1D torus size M; n_st is
@@ -309,7 +287,7 @@ STATISTICS = {
 def check_statistic(name: str, workers: int = 1) -> CheckResult:
     """Run the ``STATISTICS`` check ``name``'s job and apply its verdict to the stats."""
     job, verdict = STATISTICS[name]
-    return _timed(name, lambda: verdict(job.run(workers)))
+    return _timed(name, lambda: verdict(sample_points(job, workers)))
 
 
 # ---------------------------------------------------------------------------

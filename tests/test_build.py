@@ -189,8 +189,8 @@ IMPORT_SET = textwrap.dedent("""
     import groupform
     print(" ".join(sorted(set(sys.modules) - before)))
 
-    points = [(groupform.TorusShape((30,)), 0.7, 3), (groupform.TorusShape((4, 5)), 0.9, 4)]
-    assert groupform.sample_points(points, 40, 5, workers=2) == groupform.sample_points(points, 40, 5, workers=1)
+    job = groupform.Job([((30,), 0.7, 3), ((4, 5), 0.9, 4)], 40, 5)
+    assert groupform.sample_points(job, workers=2) == groupform.sample_points(job, workers=1)
 """)
 
 

@@ -97,7 +97,7 @@ p,r,mean_Q,stderr_Q,mean_N_st,fixed_count,periodic_count,unresolved_count,sample
 
 def _aggregate(payload):
     config = SweepConfig.from_json_dict(payload)
-    points = sample_points(config.points(), config.samples, config.master_seed, config.max_steps)
+    points = sample_points(config.job())
     return [
         (
             s.samples,

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from groupform import (
     GridPointStats,
+    Job,
     LatticeState,
     OutcomeKind,
     SweepConfig,
@@ -24,7 +25,7 @@ from groupform import (
     run_sample,
     sample_points,
 )
-from groupform.montecarlo import p_grid
+from groupform.montecarlo import curve, p_grid
 
 from conftest import lattice_states
 
@@ -95,10 +96,6 @@ class TestMeasure:
         assert sum(r * c for r, c in hist.counts.items()) == state.total_mass()
         assert sum(hist.counts.values()) <= state.shape.total_cells
         assert all(c >= 1 for c in hist.counts.values())
-
-    def test_tail_count(self):
-        hist = measure(LatticeState(TorusShape((6,)), [5, 7, 1, 0, 5, 0]))
-        assert hist.tail_count() == 3
 
 
 class TestMixSeed:
@@ -216,72 +213,73 @@ class TestSamplePoints:
     # statistical checks' jobs (a 2D and a 1D point at one p, two sizes
     # sharing grid index 0)
     POINTS = [
-        (TorusShape((12, 12)), 0.9, 0),
-        (TorusShape((60,)), 0.9, 1),
-        (TorusShape((30,)), 0.6, 0),
-        (TorusShape((60,)), 0.6, 0),
+        ((12, 12), 0.9, 0),
+        ((60,), 0.9, 1),
+        ((30,), 0.6, 0),
+        ((60,), 0.6, 0),
     ]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_equals_per_point_results(self, workers):
-        expected = [sample_points([point], 10, master_seed=41, workers=workers)[0] for point in self.POINTS]
-        assert sample_points(self.POINTS, 10, master_seed=41, workers=workers) == expected
+        expected = [sample_points(Job([point], 10, 41), workers)[0] for point in self.POINTS]
+        assert sample_points(Job(self.POINTS, 10, 41), workers) == expected
 
     def test_worker_count_does_not_change_result(self):
-        point = [(TorusShape((48,)), 0.7, 0)]
-        serial = sample_points(point, 40, master_seed=77, workers=1)
-        assert sample_points(point, 40, master_seed=77, workers=2) == serial
+        job = Job([((48,), 0.7, 0)], 40, 77)
+        assert sample_points(job, workers=2) == sample_points(job, workers=1)
 
     def test_progress_once_per_point_in_order(self):
         seen = []
-        results = sample_points(
-            self.POINTS, 4, master_seed=41, progress=lambda k, p, stats: seen.append((k, p, stats))
-        )
+        results = sample_points(Job(self.POINTS, 4, 41), progress=lambda k, p, stats: seen.append((k, p, stats)))
         assert [(k, p) for k, p, _ in seen] == [(0, 0.9), (1, 0.9), (2, 0.6), (3, 0.6)]
         assert all(stats is result for (_, _, stats), result in zip(seen, results))
 
     def test_one_pool_and_one_map_per_point(self, recording_pool):
         built, maps = recording_pool
-        sample_points(self.POINTS, 4, master_seed=41, workers=1)
+        sample_points(Job(self.POINTS, 4, 41), workers=1)
         assert built == [] and maps == []
-        sample_points(self.POINTS, 4, master_seed=41, workers=2)
+        sample_points(Job(self.POINTS, 4, 41), workers=2)
         assert len(built) == 1
         assert len(maps) == len(self.POINTS)
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_no_workers_rejected(self, workers):
         with pytest.raises(ValueError, match="worker count"):
-            sample_points(self.POINTS, 4, master_seed=41, workers=workers)
+            sample_points(Job(self.POINTS, 4, 41), workers)
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_no_samples_rejected(self, samples):
         with pytest.raises(ValueError, match="samples"):
-            sample_points(self.POINTS, samples, master_seed=41)
+            sample_points(Job(self.POINTS, samples, 41))
 
     @pytest.mark.parametrize(
-        "grid_indices, master_seed, name",
+        "bad_point, master_seed, max_steps, error",
         [
-            ([0], -1, "master_seed"),
-            # the bad point comes last, so every point is checked before any runs
-            ([0, -1], 5, "grid_index"),
+            (((30,), 0.7, 0), -1, None, "master_seed"),
+            (((30,), 0.7, -1), 5, None, "grid_index"),
+            (((30,), 1.5, 0), 5, None, r"^p must be in \[0, 1\], got 1.5$"),
+            (((30,), float("nan"), 0), 5, None, r"^p must be in \[0, 1\], got nan$"),
+            (((2,), 0.7, 0), 5, None, "dimension must be >= 3"),
+            (((30,), 0.7, 0), 5, 0, "max_steps must be >= 1"),
         ],
-        ids=["master_seed", "grid_index"],
+        ids=["master_seed", "grid_index", "p-1.5", "p-nan", "dims-2", "max_steps-0"],
     )
-    def test_seed_outside_64_bits_rejected(self, recording_pool, grid_indices, master_seed, name):
+    def test_bad_input_rejected_before_the_pool(self, recording_pool, bad_point, master_seed, max_steps, error):
         built, _ = recording_pool
-        points = [(TorusShape((30,)), 0.7, g) for g in grid_indices]
+        # the bad point comes last, so every point is checked before any runs
+        job = Job([((30,), 0.7, 0), bad_point], 4, master_seed, max_steps)
         for workers in (1, 2):
-            with pytest.raises(ValueError, match=name):
-                sample_points(points, 4, master_seed, workers=workers)
-        assert built == []  # the seed is checked before the pool starts
+            with pytest.raises(ValueError, match=error):
+                sample_points(job, workers)
+        assert built == []  # the job is checked before the pool starts
 
     def test_counts_partition_samples(self):
-        (stats,) = sample_points([(TorusShape((30,)), 0.9, 0)], 25, master_seed=3)
+        (stats,) = sample_points(Job([((30,), 0.9, 0)], 25, 3))
         assert stats.fixed_count + stats.periodic_count + stats.unresolved_count == 25
         assert stats.samples == 25
 
     def test_aggregate_mass_identity(self):
-        (stats,) = sample_points([(TorusShape((30,)), 0.8, 0)], 50, master_seed=9)
+        (stats,) = sample_points(Job([((30,), 0.8, 0)], 50, 9))
         recovered = sum(r * c for r, c in stats.count_sums.items())
         assert recovered == stats.fixed_initial_mass_sum
 
@@ -299,23 +297,20 @@ class TestSamplePoints:
             # the pool's workers are forked, so they run the patched module too
             monkeypatch.setattr(montecarlo, "_bernoulli_cells", poisoned)
             with pytest.raises(error, match=rf"grid_index=1.*sample_index=3.*seed={seed}\): synthetic$"):
-                sample_points(self.POINTS, 4, master_seed=41, workers=workers)
+                sample_points(Job(self.POINTS, 4, 41), workers)
 
 
-def _folded(points, samples, master_seed, max_steps=None):
-    """The points' stats through the one-sample API: each sample's
+def _folded(job):
+    """The job's stats through the one-sample API: each sample's
     ``run_sample`` result folded in by ``add_sample``."""
     folded = []
-    for shape, p, grid_index in points:
+    for dims, p, grid_index in job.points:
+        shape = TorusShape(dims)
         stats = GridPointStats(p=p, grid_index=grid_index, total_cells=shape.total_cells)
-        for j in range(samples):
-            stats.add_sample(run_sample(shape, p, mix_seed(master_seed, grid_index, j), max_steps))
+        for j in range(job.samples):
+            stats.add_sample(run_sample(shape, p, mix_seed(job.seed, grid_index, j), job.max_steps))
         folded.append(stats)
     return folded
-
-
-def _grid(dims, ps):
-    return [(TorusShape(dims), p, i) for i, p in enumerate(ps)]
 
 
 class TestSweepPath:
@@ -325,25 +320,23 @@ class TestSweepPath:
     CASES = {
         # caps 2 and 3 on Z5: fixed points and cycles that close exactly at
         # the cap, and unresolved samples at cap 2
-        "z5-cap-2": (_grid((5,), (0.5, 0.7, 0.9)), 40, 2),
-        "z5-cap-3": (_grid((5,), (0.5, 0.7, 0.9)), 40, 3),
-        "z12-cap-5": (_grid((12,), (0.3, 0.7, 0.9)), 40, 5),
+        "z5-cap-2": Job(curve((5,), (0.5, 0.7, 0.9)), 40, 20260810, 2),
+        "z5-cap-3": Job(curve((5,), (0.5, 0.7, 0.9)), 40, 20260810, 3),
+        "z12-cap-5": Job(curve((12,), (0.3, 0.7, 0.9)), 40, 20260810, 5),
         # periodic and unresolved samples, and fixed ones with groups in the tail
-        "4x4-cap-5": (_grid((4, 4), (0.3, 0.7, 0.9)), 40, 5),
-        "p-0-and-1": ([(TorusShape((30,)), 0.0, 0), (TorusShape((6, 8)), 1.0, 1)], 10, None),
-        "m3000": ([(TorusShape((3000,)), 0.8, 0)], 12, None),
+        "4x4-cap-5": Job(curve((4, 4), (0.3, 0.7, 0.9)), 40, 20260810, 5),
+        "p-0-and-1": Job([((30,), 0.0, 0), ((6, 8), 1.0, 1)], 10, 20260810),
+        "m3000": Job([((3000,), 0.8, 0)], 12, 20260810),
     }
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("case", CASES)
     def test_equals_run_sample_fold(self, case, workers):
-        points, samples, max_steps = self.CASES[case]
-        assert sample_points(points, samples, 20260810, max_steps, workers) == _folded(
-            points, samples, 20260810, max_steps
-        )
+        job = self.CASES[case]
+        assert sample_points(job, workers) == _folded(job)
 
     def test_cases_cover_every_outcome(self):
-        stats = [s for points, samples, cap in self.CASES.values() for s in _folded(points, samples, 20260810, cap)]
+        stats = [s for job in self.CASES.values() for s in _folded(job)]
         assert all(sum(getattr(s, name) for s in stats) > 0 for name in (
             "fixed_count", "periodic_count", "unresolved_count", "tail_sum",
         ))
@@ -352,7 +345,7 @@ class TestSweepPath:
         monkeypatch.setattr(montecarlo, "tick_kernel", lambda shape: np.zeros_like)
         seed = mix_seed(41, 2, 0)
         with pytest.raises(OverflowError, match=rf"grid_index=2, sample_index=0, seed={seed}\): .*mass not conserved"):
-            sample_points([(TorusShape((30,)), 0.7, 2)], 4, master_seed=41)
+            sample_points(Job([((30,), 0.7, 2)], 4, 41))
 
     def test_exception_not_built_from_a_message_is_named_in_a_note(self, monkeypatch):
         # such as numpy's MemoryError, which takes a shape and a dtype
@@ -365,7 +358,7 @@ class TestSweepPath:
 
         monkeypatch.setattr(montecarlo, "_bernoulli_cells", failing)
         with pytest.raises(ShapeError) as raised:
-            sample_points([(TorusShape((30,)), 0.7, 2)], 4, master_seed=41)
+            sample_points(Job([((30,), 0.7, 2)], 4, 41))
         assert raised.value.__notes__ == [f"sample (grid_index=2, sample_index=0, seed={mix_seed(41, 2, 0)})"]
 
 
@@ -426,7 +419,9 @@ class TestSweepConfig:
         return SweepConfig(**fields)
 
     def test_grid_from_integer_index(self):
-        assert self._config().p_values() == [0.0, 0.25, 0.5]
+        config = self._config()
+        assert config.p_values() == [0.0, 0.25, 0.5]
+        assert config.job() == Job(curve((24,), config.p_values()), 4, 123, None)
         assert self._config(p_max=0.96, p_steps=96).p_values()[7] == 7 * 0.96 / 96
         assert p_grid(0.96, 96) == self._config(p_max=0.96, p_steps=96).p_values()
 
@@ -504,17 +499,15 @@ class TestBenchmarkHooks:
     def test_sample_grid_point_is_a_one_point_run(self):
         shape = TorusShape((30,))
         hook = montecarlo.sample_grid_point(shape, 0.7, 10, master_seed=41, grid_index=2, workers=2)
-        assert hook == sample_points([(shape, 0.7, 2)], 10, master_seed=41)[0]
+        assert hook == sample_points(Job([((30,), 0.7, 2)], 10, 41))[0]
 
 
 class TestDensityCurveShape:
     def test_qualitative_shape(self):
         # singles dominate sparse systems, their density rises to an interior
         # peak and then falls, and every density vanishes as p -> 0
-        shape = TorusShape((300,))
         grid = (0.05, 0.1, 0.35, 0.8)
-        points = [(shape, p, i) for i, p in enumerate(grid)]
-        stats = dict(zip(grid, sample_points(points, 500, master_seed=5150)))
+        stats = dict(zip(grid, sample_points(Job(curve((300,), grid), 500, 5150))))
         for p in (0.1, 0.35):
             q1 = stats[p].mean_q(1)
             assert all(q1 > stats[p].mean_q(r) for r in (2, 3, 4))
@@ -523,5 +516,5 @@ class TestDensityCurveShape:
         sparse = stats[0.05]
         assert sparse.mean_q(1) < 0.07
         assert all(sparse.mean_q(r) < 0.01 for r in (2, 3, 4))
-        (empty,) = sample_points([(shape, 0.0, 9)], 20, master_seed=5150)
+        (empty,) = sample_points(Job([((300,), 0.0, 9)], 20, 5150))
         assert all(empty.mean_q(r) == 0.0 for r in (1, 2, 3, 4))

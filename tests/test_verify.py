@@ -16,7 +16,7 @@ import pytest
 
 from groupform import LatticeState, cli, verify
 from groupform.dynamics import conserved_state
-from groupform.montecarlo import GridPointStats
+from groupform.montecarlo import GridPointStats, Job
 
 N_STATES = 101
 
@@ -219,7 +219,7 @@ def test_every_property_is_pinned():
 
 def test_every_statistic_is_pinned():
     jobs = [(name, job) for name, (job, _) in verify.STATISTICS.items()]
-    assert jobs == [(name, verify.Job(*row)) for name, row in SAMPLED.items()]
+    assert jobs == [(name, Job(*row)) for name, row in SAMPLED.items()]
 
 
 @pytest.mark.parametrize("scale", sorted(DATASETS))
