@@ -18,10 +18,11 @@ for the CLI and callers that want a sample's states; folding its results
 through ``add_sample`` gives the same sums. ``sample_points`` owns the
 only process pool, ``Pool``: one pipe per worker process, fed from the
 calling thread with no helper thread, and a worker that dies is an error,
-not a hang. The pool machinery (``multiprocessing``) loads at the first
-``workers`` > 1 call, so a serial run and ``import groupform`` never pay
-for it. The block of benchmark hooks at the end of the module wraps it for
-``perfbench/`` only.
+not a hang. A job is one stream of sample blocks through the pool's
+``map``, which yields each block's sums in order as they arrive. The pool
+machinery (``multiprocessing``) loads at the first ``workers`` > 1 call,
+so a serial run and ``import groupform`` never pay for it. The block of
+benchmark hooks at the end of the module wraps it for ``perfbench/`` only.
 
 Per-sample seeds come from a fixed avalanche-quality 64-bit mix of
 (master_seed, grid_index, sample_index), so any sample can be re-run in
@@ -34,7 +35,8 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -385,6 +387,8 @@ class Pool:
     """``processes`` worker processes, each fed one task at a time over its
     own pipe by ``map`` in the calling thread; no helper thread runs.
 
+    ``map`` is a generator: it feeds the workers only while the caller is
+    iterating it, and yields results in task order as they stream in.
     ``multiprocessing`` is imported here, at the first ``workers`` > 1
     run, so a serial run never loads it. A task that raises is re-raised
     by ``map`` with the worker's traceback as its ``__cause__``, and a
@@ -420,10 +424,17 @@ class Pool:
         self.__exit__()
         return RuntimeError(f"pool worker {process.pid} exited with code {process.exitcode}")
 
-    def map(self, fn: Callable, tasks: Sequence) -> list:
-        """``[fn(task) for task in tasks]``, computed by the workers."""
+    def map(self, fn: Callable, tasks: Sequence) -> Iterator:
+        """``fn(task)`` for each task, computed by the workers and yielded in
+        task order, each as soon as it and every earlier one have arrived.
+
+        Idle workers get their next tasks before a result is yielded, so they
+        keep running while the caller consumes it. A pool runs one ``map``
+        at a time: consume it to the end, or leave the pool, before the next.
+        """
         todo = iter(enumerate(tasks))
-        results: list = [None] * len(tasks)
+        arrived = {}  # task index -> result, until every earlier one is yielded
+        next_i = 0
         idle = list(self._workers)
         busy = {}  # the parent's end of a busy worker's pipe -> (process, task index)
         while True:
@@ -434,8 +445,11 @@ class Pool:
                     raise self._lost(process) from None
                 busy[conn] = (process, i)
             idle = []
+            while next_i in arrived:
+                yield arrived.pop(next_i)
+                next_i += 1
             if not busy:
-                return results
+                return
             for conn in self._wait(list(busy)):
                 process, i = busy.pop(conn)
                 try:
@@ -446,7 +460,7 @@ class Pool:
                     self.__exit__()
                     exc, trace = value
                     raise exc from WorkerTraceback(trace)
-                results[i] = value
+                arrived[i] = value
                 idle.append((process, conn))
 
 
@@ -469,12 +483,16 @@ def sample_points(
     the cap, before any worker starts. Each point's samples then run in
     blocks of ``_sample_block``, on raw arrays rather than through
     ``run_sample``, either in this process or, for ``workers`` > 1, on one
-    ``Pool`` of that many processes that lives for this call, one ``map``
-    per point. This thread feeds each worker one block at a time over the
-    worker's own pipe; a block that raises re-raises here, naming the
-    failing sample's grid index, sample index and seed, and a worker that
-    dies is a ``RuntimeError``. The result is identical for any ``workers``
-    count: the blocks' integer accumulators are merged, and merging commutes.
+    ``Pool`` that lives for this call, of that many processes but no more
+    than there are blocks. Every block of the job is a task of one ``map``,
+    so a worker that finishes point k's last block goes straight on to a
+    later point's: no worker waits at a per-point barrier. Each point's
+    blocks are merged as they stream in, in grid order. This thread feeds
+    each worker one block at a time over the worker's own pipe; a block
+    that raises re-raises here, naming the failing sample's grid index,
+    sample index and seed, and a worker that dies is a ``RuntimeError``.
+    The result is identical for any ``workers`` count: the blocks' integer
+    accumulators are merged, and merging commutes.
     """
     blocks = _blocks(job.samples, workers)
     points = []
@@ -483,13 +501,17 @@ def sample_points(
         _check_p(p)
         mix_seed(job.seed, grid_index, 0)
         points.append((shape, p, grid_index, _resolve_cap(shape, job.max_steps)))
+    tasks = [
+        (shape, p, grid_index, j0, j1, job.seed, max_steps)
+        for shape, p, grid_index, max_steps in points
+        for j0, j1 in blocks
+    ]
     results: list[GridPointStats] = []
-    with Pool(processes=workers, initializer=_ignore_sigint) if workers > 1 else nullcontext() as pool:
-        run = map if pool is None else pool.map
-        for k, (shape, p, grid_index, max_steps) in enumerate(points):
+    with Pool(processes=min(workers, len(tasks)), initializer=_ignore_sigint) if workers > 1 else nullcontext() as pool:
+        parts = (map if pool is None else pool.map)(_sample_block, tasks)
+        for k, (shape, p, grid_index, _) in enumerate(points):
             stats = GridPointStats(p=p, grid_index=grid_index, total_cells=shape.total_cells)
-            args = [(shape, p, grid_index, j0, j1, job.seed, max_steps) for j0, j1 in blocks]
-            for part in run(_sample_block, args):
+            for part in islice(parts, len(blocks)):
                 stats.merge(part)
             results.append(stats)
             if progress is not None:

@@ -42,17 +42,18 @@ def offsets_for(draw, shape, span=25):
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    """Swap ``montecarlo.Pool`` for a real pool that records each pool built
-    and each ``map`` call; returns the two lists ``(built, maps)``."""
+    """Swap ``montecarlo.Pool`` for a real pool that records each pool's
+    process count and each ``map``'s task count; returns the two lists
+    ``(built, maps)``."""
     import groupform.montecarlo as mc
 
     real_pool = mc.Pool
     built, maps = [], []
 
     class RecordingPool:
-        def __init__(self, *args, **kwargs):
-            self._pool = real_pool(*args, **kwargs)
-            built.append(self)
+        def __init__(self, processes, **kwargs):
+            self._pool = real_pool(processes, **kwargs)
+            built.append(processes)
 
         def __enter__(self):
             return self
@@ -61,8 +62,9 @@ def recording_pool(monkeypatch):
             return self._pool.__exit__(*exc)
 
         def map(self, fn, iterable):
-            maps.append(fn)
-            return self._pool.map(fn, iterable)
+            tasks = list(iterable)
+            maps.append(len(tasks))
+            return self._pool.map(fn, tasks)
 
     monkeypatch.setattr(mc, "Pool", RecordingPool)
     return built, maps

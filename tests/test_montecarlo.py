@@ -234,13 +234,28 @@ class TestSamplePoints:
         assert [(k, p) for k, p, _ in seen] == [(0, 0.9), (1, 0.9), (2, 0.6), (3, 0.6)]
         assert all(stats is result for (_, _, stats), result in zip(seen, results))
 
-    def test_one_pool_and_one_map_per_point(self, recording_pool):
+    def test_one_pool_and_one_map_per_job(self, recording_pool):
         built, maps = recording_pool
         sample_points(Job(self.POINTS, 4, 41), workers=1)
         assert built == [] and maps == []
         sample_points(Job(self.POINTS, 4, 41), workers=2)
-        assert len(built) == 1
-        assert len(maps) == len(self.POINTS)
+        assert built == [2]
+        assert maps == [len(self.POINTS) * len(montecarlo._blocks(4, 2))]
+
+    def test_no_more_processes_than_tasks(self, recording_pool):
+        built, maps = recording_pool
+        job = Job([((30,), 0.7, 0)], 2, 41)
+        assert len(montecarlo._blocks(2, 8)) == 2
+        assert sample_points(job, workers=8) == sample_points(job, workers=1)
+        assert built == [2] and maps == [2]
+
+    def test_progress_that_raises_ends_the_pool(self):
+        def stop(k, p, stats):
+            raise KeyError(f"stopped at point {k}")
+
+        with pytest.raises(KeyError, match="stopped at point 0"):
+            sample_points(Job(self.POINTS, 8, 41), workers=2, progress=stop)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_no_workers_rejected(self, workers):
@@ -371,12 +386,20 @@ def _sleep_then_return(args):
 class TestPool:
     def test_results_in_task_order_when_later_tasks_finish_first(self):
         with montecarlo.Pool(processes=2) as pool:
-            assert pool.map(_sleep_then_return, [(0.5, "a"), (0, "b"), (0, "c"), (0, "d")]) == ["a", "b", "c", "d"]
+            assert list(pool.map(_sleep_then_return, [(0.5, "a"), (0, "b"), (0, "c"), (0, "d")])) == ["a", "b", "c", "d"]
+
+    def test_first_result_yielded_while_a_later_task_runs(self):
+        with montecarlo.Pool(processes=2) as pool:
+            results = pool.map(_sleep_then_return, [(0, "a"), (2.0, "b")])
+            start = time.perf_counter()
+            assert next(results) == "a"
+            assert time.perf_counter() - start < 1.0
+            # leaving the pool ends "b" unfinished; the order test checks later results
 
     def test_task_error_is_raised_with_the_worker_traceback(self):
         with pytest.raises(ValueError, match="invalid literal") as raised:
             with montecarlo.Pool(processes=2) as pool:
-                pool.map(int, ["1", "x"])
+                list(pool.map(int, ["1", "x"]))
         cause = raised.value.__cause__
         assert isinstance(cause, montecarlo.WorkerTraceback)
         assert str(cause).startswith("Traceback (most recent call last):")
@@ -387,7 +410,7 @@ class TestPool:
             "import os\n"
             "from groupform.montecarlo import Pool\n"
             "with Pool(processes=2) as pool:\n"
-            "    pool.map(os._exit, [7])\n"
+            "    list(pool.map(os._exit, [7]))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(montecarlo.__file__).parents[1]))
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
@@ -396,13 +419,13 @@ class TestPool:
 
     def test_worker_killed_between_maps_names_its_exit_code(self):
         with montecarlo.Pool(processes=2) as pool:
-            assert pool.map(abs, [-1, -2]) == [1, 2]
+            assert list(pool.map(abs, [-1, -2])) == [1, 2]
             worker = multiprocessing.active_children()[0]
             worker.kill()
             worker.join(timeout=10)
             assert not worker.is_alive()
             with pytest.raises(RuntimeError, match=rf"pool worker {worker.pid} exited with code -9"):
-                pool.map(abs, [-1, -2])
+                list(pool.map(abs, [-1, -2]))
 
 
 class TestSweepConfig:
@@ -487,8 +510,8 @@ class TestBenchmarkHooks:
         serial = montecarlo.run_sweep(config, workers=1)
         assert built == [] and maps == []
         pooled = montecarlo.run_sweep(config, workers=2)
-        assert len(built) == 1
-        assert len(maps) == len(config.p_values()) == 3
+        assert built == [2]
+        assert maps == [len(config.p_values()) * len(montecarlo._blocks(config.samples, 2))]
         assert pooled.points == serial.points
 
     def test_resolved_max_steps(self):

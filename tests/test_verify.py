@@ -14,7 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from groupform import LatticeState, cli, verify
+from groupform import LatticeState, cli, montecarlo, verify
 from groupform.dynamics import conserved_state
 from groupform.montecarlo import GridPointStats, Job
 
@@ -283,15 +283,15 @@ def test_mass_fault_is_a_failure(monkeypatch):
 
 
 def test_q2_dominance_detail_and_one_pool(monkeypatch, recording_pool):
-    # recorded while each grid point still built a pool of its own
+    # one pool for the whole check, fed by one map over every block of the job
     built, maps = recording_pool
     job, verdict = verify.STATISTICS["q2-dominance"]
     small = dataclasses.replace(job, points=[((30,), p, grid_index) for _, p, grid_index in job.points], samples=8)
     monkeypatch.setitem(verify.STATISTICS, "q2-dominance", (small, verdict))
     result = verify.check_statistic("q2-dominance", workers=2)
     assert (result.passed, result.detail) == (False, "at p=0.95: Q_2=0.0000 not above Q_1=1.0000")
-    assert len(built) == 1
-    assert len(maps) == 6
+    assert built == [2]
+    assert maps == [len(small.points) * len(montecarlo._blocks(small.samples, 2))] == [6 * 8]
 
 
 def test_wrong_first_step_fails_worked_examples(monkeypatch):
